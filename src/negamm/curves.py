@@ -30,10 +30,12 @@ from enum import Enum
 from .errors import ConvergenceError, DomainError, ParameterError
 
 _TWO_PI = 2.0 * math.pi
+_LN2 = math.log(2.0)
 _THREE_HALF_PI = 1.5 * math.pi
 
 # Residual tolerance factor for deciding whether a state sits on its curve.
 _RESIDUAL_TOL = 1e-9
+
 
 
 class Family(str, Enum):
@@ -354,12 +356,15 @@ def _price_from_x(spec: CurveSpec, x: float) -> float:
     a, b = spec.alpha, spec.beta
     if x < 0.0 or x > 2.0 * a:
         raise DomainError(f"csemm x must lie in [0, {2.0 * a}], got x={x}")
+    return _csemm_price(x, a, b, csemm_exponent(a), csemm_exponent(b))
+
+
+def _csemm_price(x: float, a: float, b: float, u_a: float, u_b: float) -> float:
+    """csemm marginal price at x in [0, 2a], given u_a = u(a) and u_b = u(b)."""
     if x == 0.0:
         return math.inf
     if x == 2.0 * a:
         return -math.inf
-    u_a = csemm_exponent(a)
-    u_b = csemm_exponent(b)
     if x == a:
         return 0.0
     lgx = _log_abs_dev(x, a)
@@ -399,6 +404,91 @@ def ccmm_angle_from_price(p: float) -> float:
     return _THREE_HALF_PI - math.atan(p)
 
 
+def _csemm_seed(p: float, a: float, b: float, u_a: float, u_b: float):
+    """Newton estimate of z = ln|x/a - 1| at the reserve quoting p.
+
+    On the branch of p's sign, ln|p(z)| = ln C + (u_a-1) z - c ln(1 - e^(u_a z))
+    with C = u_a b / (u_b a) and c = (u_b-1) / u_b, which is convex and
+    increasing in z < 0.  Newton starts from the root of one asymptote, or
+    from e^(u_a z) = 1/2 where that is nearer: for |p| <= C the z -> -inf
+    asymptote, whose root lies right of the root; for |p| > C the z -> 0 one,
+    whose root lies left of it.  By convexity a step from the left lands right
+    of the root and still below zero, and from there the iterates fall
+    monotonically.  Returns (z, slope, size): slope = d ln|p| / dz, and size
+    bounds the two z terms, which sets the rounding error of the price
+    expression.  Returns None when p is out of reach of an exponent-1 member,
+    sits on the boundary of that reach, or the iteration fails.
+    """
+    c = (u_b - 1.0) / u_b
+    q = math.log(abs(p) * u_b * a / (u_a * b))  # ln(|p| / C)
+    z = -_LN2 / u_a  # midpoint e^(u_a z) = 1/2, a valid start on either side
+    if q <= 0.0 and u_a > 1.0:
+        z = min(z, q / (u_a - 1.0))
+    elif q > 0.0 and c > 0.0:
+        w = q / c  # asymptote: 1 - e^(u_a z) = e^-w
+        z = max(z, (math.log(-math.expm1(-w)) if w < _LN2
+                    else math.log1p(-math.exp(-w))) / u_a)
+    else:
+        return None
+    for _ in range(40):  # it takes at most about five steps
+        if not z < 0.0:
+            return None
+        em = -math.expm1(u_a * z)  # 1 - e^(u_a z)
+        a_term = (1.0 - u_a) * z
+        b_term = -c * math.log(em)
+        f = b_term - a_term - q
+        slope = (u_a - 1.0) + c * u_a * (1.0 - em) / em
+        size = a_term + b_term + 8.0
+        if abs(f) <= 2.0**-48 * size:
+            return z, slope, size
+        z -= f / slope
+    return None
+
+
+def _csemm_fence(p: float, delta: float, left: bool, seed, a: float, b: float,
+                 u_a: float, u_b: float) -> float:
+    """A certified bound on the reserves that quote beyond p +/- delta.
+
+    ``left``: a bound cl with _csemm_price(x) > p + delta at every x <= cl,
+    or -inf.  Otherwise a bound cr with _csemm_price(x) < p - delta at every
+    x >= cr, or inf.  The bounds hold for the computed prices, rounding
+    included.  The fence sits just past where |price| = |p| +/- delta per the
+    seed, at least one ulp from the seed reserve, and counts only when its
+    computed price clears p + delta by ``gap``, an over-estimate of the
+    expression's relative rounding error near the root: each libm call is
+    within 1 ulp, and the two exp() arguments, below ``size`` in magnitude,
+    carry error in proportion.  Past a counted fence the exact price moves
+    away from p faster than that error can grow.  The one rounding not
+    relative to the price, fl(x/a), moves the reserve x (or 2a - x) by half
+    an ulp, which the shift by 2**-50 of that reserve covers.
+    """
+    z, slope, size = seed
+    gap = 2.0**-46 * size
+    r = delta / abs(p) + 4.0 * gap  # wanted relative offset of |price| from |p|
+    if left == (p > 0.0):  # |price| grows with z, and away from the root here
+        dz = math.log1p(r) / slope
+    elif r < 1.0:
+        dz = math.log1p(-r) / slope
+    else:
+        return -math.inf if left else math.inf
+    # d = a(1 - e^z) is the distance from the branch end on p's side of the fold
+    d0 = -a * math.expm1(z)
+    d = -a * math.expm1(min(z + dz, 0.0))  # z = 0 is the branch end
+    two_a = 2.0 * a
+    if p < 0.0:
+        d0, d = two_a - d0, two_a - d
+    margin = delta + gap * (abs(p) + delta)
+    if left:
+        f = min(d, d0 - math.ulp(d0))
+        if 0.0 <= f and _csemm_price(f, a, b, u_a, u_b) - p > margin:
+            return f - 2.0**-50 * min(f, two_a - f)
+        return -math.inf
+    f = max(d, d0 + math.ulp(d0))
+    if f <= two_a and p - _csemm_price(f, a, b, u_a, u_b) > margin:
+        return f + 2.0**-50 * min(f, two_a - f)
+    return math.inf
+
+
 def csemm_x_from_price(
     p: float,
     alpha: float,
@@ -406,43 +496,96 @@ def csemm_x_from_price(
     tol: float = 1e-12,
     max_iter: int = 200,
 ) -> float:
-    """Invert the super-elliptical price curve by bisection.
+    """Invert the super-elliptical price curve; the answer is bisection's.
 
-    The marginal price is strictly decreasing in x across (0, 2*alpha), so
-    bisection on x is guaranteed to converge; Newton steps are avoided on
-    purpose because dp/dx is unbounded near the fold when u(alpha) < 2.
-    Stops once the bracket is below ``tol`` and the quoted price is within
-    1e-10 * max(1, |p|) of the target, running the bracket down to float
-    resolution if needed.
+    The result is defined as what bisection on [0, 2*alpha] returns: halve
+    the bracket at 0.5*(lo+hi), keep the half whose computed price still
+    brackets p, and stop once the bracket is below ``tol`` (or 4 ulp) and
+    the quoted price is within 1e-10 * max(1, |p|) of the target, running the
+    bracket down to float resolution if needed, within ``max_iter`` halvings.
+    That float is reproduced exactly with a fraction of the price
+    evaluations:
+
+    1. Seed: Newton on z = ln|x/alpha - 1|, in which ln|p| is convex and
+       increasing, from the root of an asymptote (``_csemm_seed``).
+    2. Fences: the price at a reserve just either side of the seed.  A fence
+       counts only if its price misses p by far more than the price
+       expression's rounding error; then every reserve beyond it provably
+       quotes on the same side of p (``_csemm_fence``).
+    3. Replay: the bisection's own midpoints, exit test and iteration count,
+       evaluating the price only at midpoints between the fences or where the
+       bracket is narrow enough for the exit test to pass.  Every other
+       halving goes the way its fence says.  When a narrow bracket still sits
+       outside the fences (a root below ``tol``), one more fence on that side
+       marks where the price cannot be within tolerance either.
+
+    A missing seed or a fence that fails its check costs evaluations, never
+    bits.  Members with alpha = 2 or beta = 2 (exponent 1) quote only part of
+    the real line: a p out of their reach is refused with DomainError naming
+    what they quote; any other failure raises ConvergenceError.
     """
-    u_check = csemm_exponent(alpha), csemm_exponent(beta)  # validates params
-    del u_check
+    u_a = csemm_exponent(alpha)
+    u_b = csemm_exponent(beta)
     if not math.isfinite(p):
         raise ParameterError(f"target price must be finite, got p={p}")
     if p == 0.0:
         return float(alpha)
-    spec = CurveSpec.csemm(alpha, beta)
-    lo, hi = 0.0, 2.0 * alpha  # price(lo) = +inf, price(hi) = -inf
+    a, b = float(alpha), float(beta)
     price_tol = 1e-10 * max(1.0, abs(p))
+    seed = _csemm_seed(p, a, b, u_a, u_b)
+    # Halvings at x <= cl go right and at x >= cr go left; narrow brackets at
+    # x <= bl or x >= br cannot pass the exit test.
+    cl, cr = -math.inf, math.inf
+    bl, br = -math.inf, math.inf
+    if seed is not None:
+        cl = _csemm_fence(p, 0.0, True, seed, a, b, u_a, u_b)
+        cr = _csemm_fence(p, 0.0, False, seed, a, b, u_a, u_b)
+    band_left = band_right = seed is not None  # band fences yet to place
+    lo, hi = 0.0, 2.0 * alpha  # price(lo) = +inf, price(hi) = -inf
+    wide = max(tol, 4.0 * math.ulp(hi))  # no wider bracket passes the exit test
     x = 0.5 * (lo + hi)
     for _ in range(max_iter):
-        px = _price_from_x(spec, x)
-        if abs(px - p) <= price_tol and hi - lo <= max(tol, 4.0 * math.ulp(x)):
-            return x
-        if px > p:
+        width = hi - lo
+        narrow = width <= wide and width <= max(tol, 4.0 * math.ulp(x))
+        if cl < x < cr or narrow and bl < x < br:
+            px = _csemm_price(x, a, b, u_a, u_b)
+            if narrow:
+                if abs(px - p) <= price_tol:
+                    return x
+                if band_left and x <= cl:
+                    band_left = False
+                    bl = _csemm_fence(p, price_tol, True, seed, a, b, u_a, u_b)
+                elif band_right and x >= cr:
+                    band_right = False
+                    br = _csemm_fence(p, price_tol, False, seed, a, b, u_a, u_b)
+            above = px > p
+        else:
+            above = x <= cl
+        if above:
             lo = x
         else:
             hi = x
         nxt = 0.5 * (lo + hi)
         if nxt == lo or nxt == hi:
             # Bracket exhausted at float resolution.
-            if abs(_price_from_x(spec, nxt) - p) <= price_tol:
+            if abs(_csemm_price(nxt, a, b, u_a, u_b) - p) <= price_tol:
                 return nxt
             break
         x = nxt
-    raise ConvergenceError(
-        f"csemm price inversion did not converge for p={p}, "
-        f"alpha={alpha}, beta={beta}"
+    edge = u_a * b / (u_b * a)
+    if u_a == 1.0 and u_b == 1.0 and abs(p) != edge:
+        reach = f"|p| = {edge}"
+    elif u_a == 1.0 and u_b != 1.0 and abs(p) < edge:
+        reach = f"|p| >= {edge}"
+    elif u_b == 1.0 and u_a != 1.0 and abs(p) > edge:
+        reach = f"|p| <= {edge}"
+    else:
+        raise ConvergenceError(
+            f"csemm price inversion did not converge for p={p}, "
+            f"alpha={alpha}, beta={beta}"
+        )
+    raise DomainError(
+        f"csemm with alpha={alpha}, beta={beta} quotes only {reach}, got p={p}"
     )
 
 

@@ -77,11 +77,11 @@ def gamma(spec: CurveSpec, p: float) -> float:
         if spec.m != 2:
             raise ParameterError(f"greeks are defined for the m=2 parabola, got m={spec.m}")
         return -2.0 / (1.0 + p) ** 3
-    return _csemm_gamma(spec, p)
+    return _csemm_gamma(spec, curves.csemm_x_from_price(p, spec.alpha, spec.beta))
 
 
-def _csemm_gamma(spec: CurveSpec, p: float) -> float:
-    """dx/dp for the super-ellipse via implicit differentiation.
+def _csemm_gamma(spec: CurveSpec, x: float) -> float:
+    """dx/dp at reserve x on the super-ellipse, by implicit differentiation.
 
     With F(x, y) = |x/a-1|^ua + |y/b-1|^ub - 1 and the price written as
     p = Fx/Fy, one more derivative along the branch gives
@@ -99,7 +99,6 @@ def _csemm_gamma(spec: CurveSpec, p: float) -> float:
     a, b = spec.alpha, spec.beta
     u_a = curves.csemm_exponent(a)
     u_b = curves.csemm_exponent(b)
-    x = curves.csemm_x_from_price(p, a, b)
     inner = curves._csemm_inner(x, a, u_a)
     if x == a:
         if u_a < 2.0 - 1e-9:
@@ -133,7 +132,10 @@ def greeks(spec: CurveSpec, p: float, sigma_iv: float = 0.0) -> GreeksPoint:
         raise ParameterError(f"sigma_iv must be >= 0, got {sigma_iv}")
     _check_price_domain(spec, p)
     state = curves.state_from_price(spec, p)
-    g = gamma(spec, p)
+    if spec.family is Family.CSEMM:
+        g = _csemm_gamma(spec, state.x)  # one inversion serves every greek
+    else:
+        g = gamma(spec, p)
     return GreeksPoint(
         p=p,
         value=p * state.x + state.y,

@@ -158,3 +158,34 @@ def test_greeks_bundle_known_point():
     assert g.delta == pytest.approx(0.5527864045000419, rel=1e-14)
     assert g.gamma == pytest.approx(-0.7155417527999327, rel=1e-14)
     assert g.theta == pytest.approx(0.2289733608959785, rel=1e-14)
+
+
+CSEMM_GRIDS = [
+    (CurveSpec.csemm(CIRCLE_PARAM, CIRCLE_PARAM), np.linspace(-8.0, 8.0, 33)),
+    (CurveSpec.csemm(3.0, 4.0), np.linspace(-10.0, 10.0, 241)),
+]
+
+
+def test_csemm_greeks_gamma_equals_gamma():
+    for spec, grid in CSEMM_GRIDS:
+        for p in grid:
+            p = float(p)
+            assert greeks(spec, p, 0.8).gamma == gamma(spec, p), (spec, p)
+
+
+def test_csemm_greeks_inverts_once(monkeypatch):
+    from negamm import curves
+
+    calls = []
+    invert = curves.csemm_x_from_price
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return invert(*args, **kwargs)
+
+    monkeypatch.setattr(curves, "csemm_x_from_price", counting)
+    for spec, grid in CSEMM_GRIDS:
+        for p in grid:
+            calls.clear()
+            greeks(spec, float(p), 0.8)
+            assert len(calls) == 1, (spec, p)
