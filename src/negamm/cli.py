@@ -19,20 +19,19 @@ import math
 import re
 import sys
 
-import numpy as np
-
 from . import curves, fingerprint, payoff, series, swap
-from .curves import CurveSpec, PoolState
+from .curves import CurveSpec, Family
 from .errors import NegammError
 
-_FAMILIES = ("cpmm", "ccmm", "csemm", "parabola")
-_DOMAIN_NAMES = {
-    "positive": fingerprint.POSITIVE,
-    "negative": fingerprint.NEGATIVE,
+_FAMILY_NAMES = [fam.value for fam in Family]
+_DOMAINS = {
+    "positive": [fingerprint.POSITIVE],
+    "negative": [fingerprint.NEGATIVE],
+    "both": [fingerprint.POSITIVE, fingerprint.NEGATIVE],
 }
 
 
-def _parse_grid(text: str, parser: argparse.ArgumentParser) -> np.ndarray:
+def _parse_grid(text: str, parser: argparse.ArgumentParser) -> list[float]:
     """min:max:steps with inclusive endpoints; steps is the point count."""
     parts = text.split(":")
     if len(parts) != 3:
@@ -46,26 +45,26 @@ def _parse_grid(text: str, parser: argparse.ArgumentParser) -> np.ndarray:
         parser.error(f"--grid needs steps >= 2, got {steps}")
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         parser.error(f"--grid needs finite min < max, got {text!r}")
-    return np.linspace(lo, hi, steps)
+    # numpy.linspace's points, bit for bit: lo + i*step, then hi itself; where
+    # the step underflows to zero, lo + (i/(steps-1))*(hi-lo).
+    span = hi - lo
+    step = span / (steps - 1)
+    inner = [lo + (i * step if step else i / (steps - 1) * span) for i in range(steps - 1)]
+    return inner + [hi]
 
 
 def _spec_from_args(args, parser: argparse.ArgumentParser) -> CurveSpec:
     fam = args.family
     if fam is None:
         parser.error("--family is required")
-    if fam == "ccmm":
-        if args.k is None:
-            parser.error("--k is required for --family ccmm")
-        return CurveSpec.ccmm(args.k)
-    if fam == "csemm":
-        if args.alpha is None or args.beta is None:
-            parser.error("--alpha and --beta are required for --family csemm")
-        return CurveSpec.csemm(args.alpha, args.beta)
-    if fam == "parabola":
-        return CurveSpec.parabola(2 if args.m is None else args.m)
-    if args.L is None:
-        parser.error("--L is required for --family cpmm")
-    return CurveSpec.cpmm(args.L)
+    rec = curves._FAMILIES[Family(fam)]
+    given = {name: getattr(args, name) for name in rec.params}
+    values = {name: rec.defaults.get(name) if v is None else v for name, v in given.items()}
+    if None in values.values():
+        required = [f"--{name}" for name in rec.params if name not in rec.defaults]
+        verb = "is" if len(required) == 1 else "are"
+        parser.error(f"{' and '.join(required)} {verb} required for --family {fam}")
+    return CurveSpec(family=fam, **values)
 
 
 def _fmt(value) -> str:
@@ -123,10 +122,7 @@ def _cmd_swap(args, parser):
     if args.y is None:
         state = curves.state_from_x(spec, args.x)
     else:
-        theta = None
-        if spec.family is curves.Family.CCMM:
-            theta = math.atan2(args.y - spec.k, args.x - spec.k) + 2.0 * math.pi
-        state = PoolState(x=args.x, y=args.y, theta=theta)
+        state = curves._state(spec, args.x, args.y)
     req = swap.SwapRequest(
         token_in=args.token_in, amount_in=args.amount_in, fee=args.fee
     )
@@ -150,53 +146,29 @@ def _cmd_swap(args, parser):
     return header, [row]
 
 
-def _analytic_sample(spec, coord, space, domain):
-    """Closed-form density at one coordinate; coord is t in tick space."""
-    fam = spec.family
-    sign = "+" if domain == fingerprint.POSITIVE else "-"
-    if fam is curves.Family.CCMM:
-        if space == fingerprint.TICK:
-            return fingerprint.ccmm_liquidity_tick(coord, spec.k, sign)
-        return fingerprint.ccmm_liquidity_sqrtprice(coord, spec.k, sign)
-    if fam is curves.Family.PARABOLA:
-        if space == fingerprint.TICK:
-            return fingerprint.parabola_liquidity_tick(coord, domain)
-        return fingerprint.parabola_liquidity_sqrtprice(coord, domain)
-    if fam is curves.Family.CPMM:
-        # The '-' rows are the mirrored negative-liquidity branch of
-        # x*y = L^2; no pool state reaches them, they exist for plots.
-        return fingerprint.cpmm_liquidity(spec.L, sign)
-    raise NegammError("csemm has no closed-form fingerprint; use --source numeric")
-
-
 def _fingerprint_rows(spec, grid, space, domain, source):
     """Rows (coord, density, domain_sign) for one domain of one curve."""
     eval_space = fingerprint.TICK if space == "circle" else space
     if source == "analytic":
-        samples = [
-            fingerprint.FingerprintSample(
-                coord=float(t),
-                density=_analytic_sample(spec, float(t), eval_space, domain),
-                domain_sign=domain,
-            )
-            for t in grid
-        ]
+        curves._FAMILIES[spec.family].check_fingerprint(spec)
+        density = fingerprint._CLOSED_FORMS[spec.family]
+        points = [(float(t), density(spec, float(t), eval_space, domain)) for t in grid]
     else:
         samples = fingerprint.numeric_fingerprint(spec, grid, eval_space, domain)
-    rows = []
-    for smp in samples:
-        coord = smp.coord
-        if space == "circle":
-            coord = fingerprint.circle_map(smp.coord, domain)
-        rows.append([coord, smp.density, smp.domain_sign])
-    return rows
+        points = [(smp.coord, smp.density) for smp in samples]
+    if space == "circle":
+        points = [(fingerprint.circle_map(coord, domain), d) for coord, d in points]
+    return [[coord, d, domain] for coord, d in points]
 
 
 def _resolve_source(spec, requested, parser):
+    closed = spec.family in fingerprint._CLOSED_FORMS
     if requested == "auto":
-        return "numeric" if spec.family is curves.Family.CSEMM else "analytic"
-    if requested == "analytic" and spec.family is curves.Family.CSEMM:
-        parser.error("csemm has no closed-form fingerprint; use --source numeric")
+        return "analytic" if closed else "numeric"
+    if requested == "analytic" and not closed:
+        parser.error(
+            f"{spec.family.value} has no closed-form fingerprint; use --source numeric"
+        )
     return requested
 
 
@@ -204,12 +176,8 @@ def _cmd_fingerprint(args, parser):
     spec = _spec_from_args(args, parser)
     grid = _parse_grid(args.grid, parser)
     source = _resolve_source(spec, args.source, parser)
-    if args.domain == "both":
-        domains = [fingerprint.POSITIVE, fingerprint.NEGATIVE]
-    else:
-        domains = [_DOMAIN_NAMES[args.domain]]
     rows = []
-    for domain in domains:
+    for domain in _DOMAINS[args.domain]:
         rows.extend(_fingerprint_rows(spec, grid, args.space, domain, source))
     return ["coord", "density", "domain_sign"], rows
 
@@ -235,16 +203,14 @@ def _cmd_analyze(args, parser):
             for year in sorted(stats)
         ]
         return ["year", "negative_days", "min_price"], rows
+    ret = series.returns(data, args.mode, args.eps)
     if args.stat == "returns":
-        ret = series.returns(data, args.mode, args.eps)
         rows = [[d.isoformat(), v] for d, v in zip(ret.dates, ret.values)]
         return ["date", "return"], rows
     if args.stat == "squared-returns":
-        ret = series.returns(data, args.mode, args.eps)
         rows = [[d.isoformat(), r2] for d, r2 in series.squared_returns(ret)]
         return ["date", "squared_return"], rows
     # hill
-    ret = series.returns(data, args.mode, args.eps)
     alpha = series.hill_tail_index(ret, args.top_k)
     return ["top_k", "tail_index"], [[args.top_k, alpha]]
 
@@ -252,30 +218,32 @@ def _cmd_analyze(args, parser):
 def _parse_compare_spec(text: str, parser):
     """family:key=value[,key=value...]; 'gaussian:mu=..,sigma=..,mass=..' allowed."""
     name, _, rest = text.partition(":")
-    kv = {}
-    if rest:
-        for part in rest.split(","):
-            key, eq, val = part.partition("=")
-            if not eq:
-                parser.error(f"bad spec {text!r}: expected key=value, got {part!r}")
-            try:
-                kv[key.strip()] = float(val)
-            except ValueError:
-                parser.error(f"bad spec {text!r}: {val!r} is not a number")
-    try:
-        if name == "gaussian":
-            return ("gaussian", kv["mu"], kv["sigma"], kv["mass"])
-        if name == "ccmm":
-            return ("curve", CurveSpec.ccmm(kv["k"]))
-        if name == "csemm":
-            return ("curve", CurveSpec.csemm(kv["alpha"], kv["beta"]))
-        if name == "parabola":
-            return ("curve", CurveSpec.parabola(int(kv.get("m", 2))))
-        if name == "cpmm":
-            return ("curve", CurveSpec.cpmm(kv["L"]))
-    except KeyError as exc:
-        parser.error(f"bad spec {text!r}: missing parameter {exc}")
-    parser.error(f"bad spec {text!r}: unknown family {name!r}")
+    if name == "gaussian":
+        params, values = dict.fromkeys(("mu", "sigma", "mass"), float), {}
+    elif name in _FAMILY_NAMES:
+        rec = curves._FAMILIES[Family(name)]
+        params, values = rec.params, dict(rec.defaults)
+    else:
+        parser.error(f"bad spec {text!r}: unknown family {name!r}")
+    for part in rest.split(",") if rest else ():
+        key, eq, val = (piece.strip() for piece in part.partition("="))
+        if not eq:
+            parser.error(f"bad spec {text!r}: expected key=value, got {part!r}")
+        try:
+            num = float(val)
+        except ValueError:
+            parser.error(f"bad spec {text!r}: {val!r} is not a number")
+        if key not in params:
+            parser.error(f"bad spec {text!r}: unknown parameter {key!r}")
+        if params[key] is int and not num.is_integer():
+            parser.error(f"bad spec {text!r}: {key} must be an integer, got {num!r}")
+        values[key] = params[key](num)
+    missing = [key for key in params if key not in values]
+    if missing:
+        parser.error(f"bad spec {text!r}: missing parameter {missing[0]!r}")
+    if name == "gaussian":
+        return ("gaussian", values["mu"], values["sigma"], values["mass"])
+    return ("curve", CurveSpec(family=name, **values))
 
 
 def _cmd_compare(args, parser):
@@ -329,14 +297,8 @@ def _expand_params(argv: list[str]) -> list[str]:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, eq, val = line.partition("=")
-            if not eq:
-                raise _UsageError(
-                    f"{path}: line {lineno}: expected key = value, got {raw.strip()!r}"
-                )
-            key = key.strip()
-            val = val.strip()
-            if not key or not val:
+            key, eq, val = (part.strip() for part in line.partition("="))
+            if not (key and eq and val):
                 raise _UsageError(
                     f"{path}: line {lineno}: expected key = value, got {raw.strip()!r}"
                 )
@@ -352,7 +314,7 @@ class _UsageError(Exception):
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", choices=_FAMILIES)
+    sub.add_argument("--family", choices=_FAMILY_NAMES)
     sub.add_argument("--k", type=float, help="ccmm radius/offset")
     sub.add_argument("--alpha", type=float, help="csemm x-axis crossing")
     sub.add_argument("--beta", type=float, help="csemm y-axis crossing")
@@ -477,10 +439,7 @@ def run(argv=None) -> int:
         _emit(header, rows, args)
     except SystemExit as exc:  # parser.error inside a command
         return 0 if exc.code in (0, None) else 2
-    except NegammError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (NegammError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -19,13 +19,19 @@ Four families are implemented:
 All curve functions are pure and operate on immutable values, so they are
 safe to call concurrently.  Marginal prices are quoted as p = -dy/dx, i.e.
 the price of token X in units of token Y.
+
+Everything the package knows about a family sits in its record in
+``_FAMILIES`` at the end of this module: parameters, branch bounds, fold,
+y(x), x(y, side), p(x), the state at a price and gamma = dx/dp.  The generic
+functions and the other modules read the records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 from .errors import ConvergenceError, DomainError, ParameterError
 
@@ -63,30 +69,8 @@ class CurveSpec:
     L: float | None = None
 
     def __post_init__(self):
-        fam = Family(self.family)
-        object.__setattr__(self, "family", fam)
-        if fam is Family.CCMM:
-            if self.k is None or not math.isfinite(self.k) or self.k <= 0:
-                raise ParameterError(f"ccmm requires k > 0, got k={self.k}")
-        elif fam is Family.CSEMM:
-            for name, val in (("alpha", self.alpha), ("beta", self.beta)):
-                if val is None or not math.isfinite(val) or val < 2.0:
-                    raise ParameterError(
-                        f"csemm requires {name} >= 2, got {name}={val}"
-                    )
-        elif fam is Family.PARABOLA:
-            if (
-                self.m is None
-                or not isinstance(self.m, int)
-                or self.m < 2
-                or self.m % 2 != 0
-            ):
-                raise ParameterError(
-                    f"parabola requires even integer m >= 2, got m={self.m}"
-                )
-        elif fam is Family.CPMM:
-            if self.L is None or not math.isfinite(self.L) or self.L <= 0:
-                raise ParameterError(f"cpmm requires L > 0, got L={self.L}")
+        object.__setattr__(self, "family", Family(self.family))
+        _FAMILIES[self.family].check(self)
 
     @classmethod
     def ccmm(cls, k: float) -> "CurveSpec":
@@ -225,40 +209,17 @@ def invariant_residual(spec: CurveSpec, x: float, y: float) -> float:
     Zero means exactly on-curve.  Scales: the residual is in natural curve
     units, compare against residual_scale(spec) when testing closeness.
     """
-    fam = spec.family
-    if fam is Family.CCMM:
-        k = spec.k
-        return (x - k) ** 2 + (y - k) ** 2 - k * k
-    if fam is Family.CSEMM:
-        a, b = spec.alpha, spec.beta
-        term_x = 1.0 - _csemm_inner(x, a, csemm_exponent(a))
-        term_y = 1.0 - _csemm_inner(y, b, csemm_exponent(b))
-        return term_x + term_y - 1.0
-    if fam is Family.PARABOLA:
-        return y - (1.0 - math.sqrt(max(x, 0.0))) ** spec.m
-    if fam is Family.CPMM:
-        return x * y - spec.L * spec.L
-    raise ParameterError(f"unknown family {fam!r}")
+    return _FAMILIES[spec.family].residual(spec, x, y)
 
 
 def residual_scale(spec: CurveSpec) -> float:
     """Natural size of the invariant, used to normalise residuals."""
-    if spec.family is Family.CCMM:
-        return spec.k
-    if spec.family is Family.CPMM:
-        return spec.L * spec.L
-    return 1.0
+    return _FAMILIES[spec.family].scale(spec)
 
 
 def fold_x(spec: CurveSpec) -> float | None:
     """x-coordinate where the marginal price crosses zero (None for cpmm)."""
-    if spec.family is Family.CCMM:
-        return spec.k
-    if spec.family is Family.CSEMM:
-        return spec.alpha
-    if spec.family is Family.PARABOLA:
-        return 1.0
-    return None
+    return _FAMILIES[spec.family].fold(spec)
 
 
 def y_from_x(spec: CurveSpec, x: float, branch: str = "lower") -> float:
@@ -267,16 +228,10 @@ def y_from_x(spec: CurveSpec, x: float, branch: str = "lower") -> float:
     ``branch='upper'`` is accepted for ccmm and csemm only, and is meant
     for plotting the closed curve, not for trading.
     """
-    fam = spec.family
-    if fam is Family.CCMM:
-        return ccmm_y_from_x(x, spec.k, branch)
-    if fam is Family.CSEMM:
-        return csemm_y_from_x(x, spec.alpha, spec.beta, branch)
-    if branch != "lower":
-        raise ParameterError(f"{fam.value} has a single branch")
-    if fam is Family.PARABOLA:
-        return parabola_y_from_x(x, spec.m)
-    return cpmm_y_from_x(x, spec.L)
+    rec = _FAMILIES[spec.family]
+    if branch != "lower" and not rec.upper_branch:
+        raise ParameterError(f"{spec.family.value} has a single branch")
+    return rec.y(spec, x, branch)
 
 
 def x_from_y_on_side(spec: CurveSpec, y: float, side: str = "left") -> float:
@@ -289,39 +244,25 @@ def x_from_y_on_side(spec: CurveSpec, y: float, side: str = "left") -> float:
     """
     if side not in ("left", "right"):
         raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
-    fam = spec.family
-    if fam is Family.CPMM:
-        if not math.isfinite(y) or y <= 0.0:
-            raise DomainError(f"cpmm requires y > 0, got y={y}")
-        return spec.L * spec.L / y
-    if fam is Family.CCMM:
-        k = spec.k
-        if not math.isfinite(y) or y < 0.0 or y > k:
-            raise DomainError(f"ccmm trading arc has y in [0, {k}], got y={y}")
-        root = math.sqrt(y * (2.0 * k - y))
-        return k - root if side == "left" else k + root
-    if fam is Family.CSEMM:
-        a, b = spec.alpha, spec.beta
-        if not math.isfinite(y) or y < 0.0 or y > b:
-            raise DomainError(f"csemm trading branch has y in [0, {b}], got y={y}")
-        inner = _csemm_inner(y, b, csemm_exponent(b))
-        if inner == 0.0:
-            return float(a)
-        u_a = csemm_exponent(a)
-        if side == "left":
-            return -a * math.expm1(math.log(inner) / u_a)
-        return a * (2.0 + math.expm1(math.log(inner) / u_a))
-    # parabola
-    if not math.isfinite(y) or y < 0.0:
-        raise DomainError(f"parabola requires y >= 0, got y={y}")
-    root = y ** (1.0 / spec.m)
-    if side == "left":
-        if root > 1.0:
-            raise DomainError(
-                f"parabola positive-price side has y in [0, 1], got y={y}"
-            )
-        return (1.0 - root) ** 2
-    return (1.0 + root) ** 2
+    rec = _FAMILIES[spec.family]
+    bounds = rec.y_bounds(spec, side)
+    if not math.isfinite(y) or _outside(spec, y, bounds):
+        where = _interval(spec, bounds)
+        raise DomainError(f"{spec.family.value} {side}-side y must lie in {where}, got y={y}")
+    return rec.x_of_y(spec, y, side)
+
+
+def _outside(spec: CurveSpec, value: float, bounds: tuple[float, float]) -> bool:
+    """Whether ``value`` misses the branch interval ``bounds``; see _interval."""
+    lo, hi = bounds
+    return (value <= lo if _FAMILIES[spec.family].open_low else value < lo) or value > hi
+
+
+def _interval(spec: CurveSpec, bounds: tuple[float, float]) -> str:
+    """The interval ``bounds`` as text, with an open low end where open_low is set."""
+    lo, hi = bounds
+    left = "(" if _FAMILIES[spec.family].open_low else "["
+    return f"{left}{lo:g}, {hi}{')' if hi == math.inf else ']'}"
 
 
 def _price_from_x(spec: CurveSpec, x: float) -> float:
@@ -330,33 +271,12 @@ def _price_from_x(spec: CurveSpec, x: float) -> float:
     Returns +inf / -inf at the branch endpoints where the tangent turns
     vertical.  Exactly zero at the fold.
     """
-    fam = spec.family
-    if fam is Family.CPMM:
-        if x <= 0.0:
-            raise DomainError(f"cpmm requires x > 0, got x={x}")
-        # p = y/x = L^2 / x^2
-        return (spec.L / x) * (spec.L / x)
-    if fam is Family.CCMM:
-        k = spec.k
-        if x < 0.0 or x > 2.0 * k:
-            raise DomainError(f"ccmm x must lie in [0, {2.0 * k}], got x={x}")
-        if x == 0.0:
-            return math.inf
-        if x == 2.0 * k:
-            return -math.inf
-        return (k - x) / math.sqrt(x * (2.0 * k - x))
-    if fam is Family.PARABOLA:
-        if x < 0.0:
-            raise DomainError(f"parabola requires x >= 0, got x={x}")
-        if x == 0.0:
-            return math.inf
-        root = math.sqrt(x)
-        return spec.m * (1.0 - root) ** (spec.m - 1) / (2.0 * root)
-    # csemm
-    a, b = spec.alpha, spec.beta
-    if x < 0.0 or x > 2.0 * a:
-        raise DomainError(f"csemm x must lie in [0, {2.0 * a}], got x={x}")
-    return _csemm_price(x, a, b, csemm_exponent(a), csemm_exponent(b))
+    rec = _FAMILIES[spec.family]
+    bounds = rec.x_bounds(spec)
+    if _outside(spec, x, bounds):
+        where = _interval(spec, bounds)
+        raise DomainError(f"{spec.family.value} x must lie in {where}, got x={x}")
+    return rec.price(spec, x)
 
 
 def _csemm_price(x: float, a: float, b: float, u_a: float, u_b: float) -> float:
@@ -388,9 +308,7 @@ def price_of(spec: CurveSpec, state: PoolState) -> float:
         raise DomainError(
             f"state ({state.x}, {state.y}) is off-curve: residual {res:.3e}"
         )
-    if spec.family is Family.CPMM:
-        return state.y / state.x
-    return _price_from_x(spec, state.x)
+    return _FAMILIES[spec.family].state_price(spec, state)
 
 
 def ccmm_angle_from_price(p: float) -> float:
@@ -609,11 +527,13 @@ def parabola_x_from_price(p: float, m: int = 2) -> float:
 def state_from_x(spec: CurveSpec, x: float) -> PoolState:
     """Build the on-curve trading-branch state at reserve x."""
     y = y_from_x(spec, x)
-    theta = None
-    if spec.family is Family.CCMM:
-        ang = math.atan2(y - spec.k, x - spec.k)  # in [-pi, 0] on the arc
-        theta = ang + _TWO_PI
-    return PoolState(x=float(x), y=y, theta=theta)
+    return _state(spec, float(x), y)
+
+
+def _state(spec: CurveSpec, x: float, y: float) -> PoolState:
+    """The state at reserves (x, y), with the arc angle where the family has one."""
+    theta = _FAMILIES[spec.family].theta
+    return PoolState(x=x, y=y, theta=theta(spec, x, y) if theta else None)
 
 
 def state_from_price(spec: CurveSpec, p: float) -> PoolState:
@@ -622,20 +542,221 @@ def state_from_price(spec: CurveSpec, p: float) -> PoolState:
     ccmm/csemm accept any finite p; cpmm needs p > 0; the parabola (m=2)
     needs p > -1.
     """
-    fam = spec.family
-    if fam is Family.CCMM:
-        theta = ccmm_angle_from_price(p)
-        k = spec.k
-        return PoolState(
-            x=k * (1.0 + math.cos(theta)),
-            y=k * (1.0 + math.sin(theta)),
-            theta=theta,
-        )
-    if fam is Family.CSEMM:
-        x = csemm_x_from_price(p, spec.alpha, spec.beta)
-        return state_from_x(spec, x)
-    if fam is Family.CPMM:
-        x = cpmm_x_from_price(p, spec.L, "+")
-        return PoolState(x=x, y=spec.L * math.sqrt(p))
-    x = parabola_x_from_price(p, spec.m)
-    return state_from_x(spec, x)
+    return _FAMILIES[spec.family].at_price(spec, p)
+
+
+# ------------------------------------------------------------ family table
+
+
+@dataclass(frozen=True)
+class _Record:
+    """Everything the package knows about one family; callables take the spec first.
+
+    ``params`` maps the CurveSpec fields used to their type, in constructor
+    order.  Branch reserves lie in [lo, hi] of ``x_bounds`` / ``y_bounds``
+    (default [0, inf)), or (lo, hi] when ``open_low``; ``gamma(spec, p, x)``
+    inverts p when x is None.  Entries name public functions at call time and
+    never store them, so a patched or wrapped module attribute is what runs.
+    """
+
+    params: dict
+    check: Callable
+    residual: Callable
+    y: Callable
+    x_of_y: Callable
+    price: Callable
+    at_price: Callable
+    gamma: Callable
+    defaults: dict = field(default_factory=dict)
+    open_low: bool = False
+    upper_branch: bool = False
+    positive_greeks: bool = False
+    x_bounds: Callable = lambda spec: (0.0, math.inf)
+    y_bounds: Callable = lambda spec, side: (0.0, math.inf)
+    fold: Callable = lambda spec: None
+    scale: Callable = lambda spec: 1.0
+    state_price: Callable = lambda spec, state: _price_from_x(spec, state.x)
+    theta: Callable | None = None  # arc angle of a state, ccmm only
+    check_fingerprint: Callable = lambda spec: None
+
+
+def _require(spec: CurveSpec, lo: float, strict: bool, *names: str) -> None:
+    """Each named parameter is finite and > lo (strict) or >= lo."""
+    for name in names:
+        val = getattr(spec, name)
+        if val is None or not math.isfinite(val) or (val <= lo if strict else val < lo):
+            rule = f"{name} {'>' if strict else '>='} {lo:g}"
+            raise ParameterError(f"{spec.family.value} requires {rule}, got {name}={val}")
+
+
+def _ccmm_x_of_y(spec: CurveSpec, y: float, side: str) -> float:
+    k = spec.k
+    root = math.sqrt(y * (2.0 * k - y))
+    return k - root if side == "left" else k + root
+
+
+def _ccmm_price(spec: CurveSpec, x: float) -> float:
+    k = spec.k
+    if x == 0.0:
+        return math.inf
+    if x == 2.0 * k:
+        return -math.inf
+    return (k - x) / math.sqrt(x * (2.0 * k - x))
+
+
+def _ccmm_at_price(spec: CurveSpec, p: float) -> PoolState:
+    theta = ccmm_angle_from_price(p)
+    k = spec.k
+    return PoolState(x=k * (1.0 + math.cos(theta)), y=k * (1.0 + math.sin(theta)), theta=theta)
+
+
+def _csemm_residual(spec: CurveSpec, x: float, y: float) -> float:
+    a, b = spec.alpha, spec.beta
+    term_x = 1.0 - _csemm_inner(x, a, csemm_exponent(a))
+    term_y = 1.0 - _csemm_inner(y, b, csemm_exponent(b))
+    return term_x + term_y - 1.0
+
+
+def _csemm_x_of_y(spec: CurveSpec, y: float, side: str) -> float:
+    a, b = spec.alpha, spec.beta
+    inner = _csemm_inner(y, b, csemm_exponent(b))
+    if inner == 0.0:
+        return float(a)
+    u_a = csemm_exponent(a)
+    if side == "left":
+        return -a * math.expm1(math.log(inner) / u_a)
+    return a * (2.0 + math.expm1(math.log(inner) / u_a))
+
+
+def _csemm_gamma(spec: CurveSpec, p: float, x: float | None) -> float:
+    """dx/dp at reserve x on the super-ellipse, by implicit differentiation.
+
+    With F(x, y) = |x/a-1|^ua + |y/b-1|^ub - 1 and the price written as
+    p = Fx/Fy, one more derivative along the branch gives
+
+        dp/dx = Fx'/Fy + Fx^2 * Fy' / Fy^3,
+
+    and gamma is its reciprocal.  At the exact fold x=a the local exponent
+    decides: u(a) < 2 pins gamma to 0 (the price leaves the fold with
+    unbounded slope), u(a) > 2 sends it to -inf (flat spot), and u(a)=2
+    keeps it finite.  The u(a)=2 test carries a 1e-9 band: the circle
+    parameter alpha = 2+sqrt(2) only lands near 2 in floats, and within
+    any representable neighbourhood of the fold the near-2 exponent is
+    indistinguishable from 2 exactly.
+    """
+    a, b = spec.alpha, spec.beta
+    if x is None:
+        x = csemm_x_from_price(p, a, b)
+    u_a = csemm_exponent(a)
+    u_b = csemm_exponent(b)
+    inner = _csemm_inner(x, a, u_a)
+    if x == a:
+        if u_a < 2.0 - 1e-9:
+            return 0.0
+        if u_a > 2.0 + 1e-9:
+            return -math.inf
+        fy = -(u_b / b)  # |y/b-1| = 1 at the fold
+        fxp = u_a * (u_a - 1.0) / (a * a)
+        return fy / fxp
+    lgx = _log_abs_dev(x, a)
+    sgn_x = -1.0 if x < a else 1.0
+    lgy = math.log(inner) / u_b  # ln|y/b-1| on the lower branch
+    fx = (u_a / a) * math.exp((u_a - 1.0) * lgx) * sgn_x
+    fy = -(u_b / b) * math.exp((u_b - 1.0) * lgy)
+    fxp = (u_a * (u_a - 1.0) / (a * a)) * math.exp((u_a - 2.0) * lgx)
+    fyp = (u_b * (u_b - 1.0) / (b * b)) * math.exp((u_b - 2.0) * lgy)
+    dpdx = fxp / fy + fx * fx * fyp / (fy * fy * fy)
+    return 1.0 / dpdx
+
+
+def _parabola_check(spec: CurveSpec) -> None:
+    m = spec.m
+    if m is None or not isinstance(m, int) or m < 2 or m % 2 != 0:
+        raise ParameterError(f"parabola requires even integer m >= 2, got m={m}")
+
+
+def _parabola_x_of_y(spec: CurveSpec, y: float, side: str) -> float:
+    root = y ** (1.0 / spec.m)
+    return (1.0 - root) ** 2 if side == "left" else (1.0 + root) ** 2
+
+
+def _parabola_price(spec: CurveSpec, x: float) -> float:
+    if x == 0.0:
+        return math.inf
+    root = math.sqrt(x)
+    return spec.m * (1.0 - root) ** (spec.m - 1) / (2.0 * root)
+
+
+def _parabola_gamma(spec: CurveSpec, p: float, x: float | None) -> float:
+    if spec.m != 2:
+        raise ParameterError(f"greeks are defined for the m=2 parabola, got m={spec.m}")
+    return -2.0 / (1.0 + p) ** 3
+
+
+def _parabola_check_fingerprint(spec: CurveSpec) -> None:
+    if spec.m != 2:
+        raise ParameterError("fingerprints are defined for the m=2 parabola only")
+
+
+_FAMILIES: dict[Family, _Record] = {
+    Family.CPMM: _Record(
+        params={"L": float},
+        check=lambda s: _require(s, 0.0, True, "L"),
+        open_low=True,
+        scale=lambda s: s.L * s.L,
+        residual=lambda s, x, y: x * y - s.L * s.L,
+        y=lambda s, x, branch: cpmm_y_from_x(x, s.L),
+        x_of_y=lambda s, y, side: s.L * s.L / y,
+        price=lambda s, x: (s.L / x) * (s.L / x),  # L^2 / x^2
+        state_price=lambda s, state: state.y / state.x,
+        at_price=lambda s, p: PoolState(x=cpmm_x_from_price(p, s.L), y=s.L * math.sqrt(p)),
+        gamma=lambda s, p, x: -s.L / (2.0 * p * math.sqrt(p)),
+        positive_greeks=True,
+    ),
+    Family.CCMM: _Record(
+        params={"k": float},
+        check=lambda s: _require(s, 0.0, True, "k"),
+        x_bounds=lambda s: (0.0, 2.0 * s.k),
+        y_bounds=lambda s, side: (0.0, s.k),
+        fold=lambda s: s.k,
+        scale=lambda s: s.k,
+        residual=lambda s, x, y: (x - s.k) ** 2 + (y - s.k) ** 2 - s.k * s.k,
+        upper_branch=True,
+        y=lambda s, x, branch: ccmm_y_from_x(x, s.k, branch),
+        x_of_y=_ccmm_x_of_y,
+        price=_ccmm_price,
+        at_price=_ccmm_at_price,
+        theta=lambda s, x, y: math.atan2(y - s.k, x - s.k) + _TWO_PI,  # atan2 in [-pi, 0]
+        gamma=lambda s, p, x: -s.k / (1.0 + p * p) ** 1.5,
+    ),
+    Family.CSEMM: _Record(
+        params={"alpha": float, "beta": float},
+        check=lambda s: _require(s, 2.0, False, "alpha", "beta"),
+        x_bounds=lambda s: (0.0, 2.0 * s.alpha),
+        y_bounds=lambda s, side: (0.0, s.beta),
+        fold=lambda s: s.alpha,
+        residual=_csemm_residual,
+        upper_branch=True,
+        y=lambda s, x, branch: csemm_y_from_x(x, s.alpha, s.beta, branch),
+        x_of_y=_csemm_x_of_y,
+        price=lambda s, x: _csemm_price(
+            x, s.alpha, s.beta, csemm_exponent(s.alpha), csemm_exponent(s.beta)),
+        at_price=lambda s, p: state_from_x(s, csemm_x_from_price(p, s.alpha, s.beta)),
+        gamma=_csemm_gamma,
+    ),
+    Family.PARABOLA: _Record(
+        params={"m": int},
+        defaults={"m": 2},
+        check=_parabola_check,
+        y_bounds=lambda s, side: (0.0, 1.0 if side == "left" else math.inf),
+        fold=lambda s: 1.0,
+        residual=lambda s, x, y: y - (1.0 - math.sqrt(max(x, 0.0))) ** s.m,
+        y=lambda s, x, branch: parabola_y_from_x(x, s.m),
+        x_of_y=_parabola_x_of_y,
+        price=_parabola_price,
+        at_price=lambda s, p: state_from_x(s, parabola_x_from_price(p, s.m)),
+        gamma=_parabola_gamma,
+        positive_greeks=True,
+        check_fingerprint=_parabola_check_fingerprint,
+    ),
+}

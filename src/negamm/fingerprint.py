@@ -22,10 +22,9 @@ directly and acts as the reference oracle.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from . import curves
 from .curves import CurveSpec, Family
@@ -57,6 +56,14 @@ def _check_sign(sign: str) -> float:
     if sign == "-":
         return -1.0
     raise ParameterError(f"sign must be '+' or '-', got {sign!r}")
+
+
+def _domain_sign(domain: str) -> float:
+    if domain == POSITIVE:
+        return 1.0
+    if domain == NEGATIVE:
+        return -1.0
+    raise ParameterError(f"domain must be {POSITIVE!r} or {NEGATIVE!r}, got {domain!r}")
 
 
 def ccmm_liquidity_sqrtprice(s: float, k: float, sign: str = "+") -> float:
@@ -130,10 +137,7 @@ def parabola_liquidity_tick(t: float, domain: str = POSITIVE) -> float:
     domain: defined for t < 0 only and negative there, blowing up as
     t -> 0- where the pool's negative liquidity concentrates.
     """
-    if domain not in (POSITIVE, NEGATIVE):
-        raise ParameterError(
-            f"domain must be {POSITIVE!r} or {NEGATIVE!r}, got {domain!r}"
-        )
+    _domain_sign(domain)  # rejects an unknown domain
     if not math.isfinite(t):
         raise DomainError(f"tick must be finite, got t={t}")
     if domain == NEGATIVE and t >= 0.0:
@@ -159,6 +163,8 @@ def cpmm_liquidity(L: float, sign: str = "+") -> float:
 
 def gaussian_fingerprint(t: float, mu: float, sigma: float, mass: float) -> float:
     """Gaussian comparator in tick space: mass * N(t; mu, sigma^2)."""
+    if not math.isfinite(mu):
+        raise ParameterError(f"mu must be finite, got mu={mu}")
     if not math.isfinite(sigma) or sigma <= 0.0:
         raise ParameterError(f"sigma must be > 0, got sigma={sigma}")
     if not math.isfinite(mass) or mass <= 0.0:
@@ -175,15 +181,7 @@ def numeraire_reserve(spec: CurveSpec, s: float, domain: str = POSITIVE) -> floa
     """
     if not math.isfinite(s) or s <= 0.0:
         raise DomainError(f"sqrt-price coordinate must be > 0, got s={s}")
-    if domain == POSITIVE:
-        p = s * s
-    elif domain == NEGATIVE:
-        p = -(s * s)
-    else:
-        raise ParameterError(
-            f"domain must be {POSITIVE!r} or {NEGATIVE!r}, got {domain!r}"
-        )
-    return curves.state_from_price(spec, p).y
+    return curves.state_from_price(spec, _domain_sign(domain) * (s * s)).y
 
 
 def central_difference(f: Callable[[float], float], x: float, step: float) -> float:
@@ -209,8 +207,7 @@ def numeric_fingerprint(
     """
     if space not in (SQRTPRICE, TICK):
         raise ParameterError(f"space must be {SQRTPRICE!r} or {TICK!r}, got {space!r}")
-    if spec.family is Family.PARABOLA and spec.m != 2:
-        raise ParameterError("fingerprints are defined for the m=2 parabola only")
+    curves._FAMILIES[spec.family].check_fingerprint(spec)
     samples = []
     for coord in coord_grid:
         c = float(coord)
@@ -226,10 +223,25 @@ def numeric_fingerprint(
         if h >= s:
             h = 0.5 * s
         d = central_difference(lambda ss: numeraire_reserve(spec, ss, domain), s, h)
-        if domain == NEGATIVE:
-            d = -d
-        samples.append(FingerprintSample(coord=c, density=d, domain_sign=domain))
+        samples.append(FingerprintSample(c, _domain_sign(domain) * d, domain))
     return samples
+
+
+# Closed-form density at one coordinate (t = ln|p| in tick space) by family;
+# csemm has none.  Each names this module's functions at call time.
+_CLOSED_FORMS = {
+    Family.CCMM: lambda spec, coord, space, domain: (
+        ccmm_liquidity_tick if space == TICK else ccmm_liquidity_sqrtprice
+    )(coord, spec.k, "+" if domain == POSITIVE else "-"),
+    Family.PARABOLA: lambda spec, coord, space, domain: (
+        parabola_liquidity_tick if space == TICK else parabola_liquidity_sqrtprice
+    )(coord, domain),
+    # The '-' rows are the mirrored negative-liquidity branch of x*y = L^2;
+    # no pool state reaches them, they exist for plots.
+    Family.CPMM: lambda spec, coord, space, domain: cpmm_liquidity(
+        spec.L, "+" if domain == POSITIVE else "-"
+    ),
+}
 
 
 def tail_index(samples: Sequence[FingerprintSample]) -> float:
@@ -239,23 +251,21 @@ def tail_index(samples: Sequence[FingerprintSample]) -> float:
     with positive coordinate and positive density, and returns -b.  At
     least 10 usable samples are required.
     """
-    coords = []
-    dens = []
-    for smp in samples:
-        if (
-            smp.coord > 0.0
-            and smp.density > 0.0
-            and math.isfinite(smp.coord)
-            and math.isfinite(smp.density)
-        ):
-            coords.append(smp.coord)
-            dens.append(smp.density)
-    if len(coords) < 10:
+    points = [
+        (math.log(smp.coord), math.log(smp.density))
+        for smp in samples
+        if smp.coord > 0.0 and smp.density > 0.0
+        and math.isfinite(smp.coord) and math.isfinite(smp.density)
+    ]
+    if len(points) < 10:
         raise InsufficientDataError(
-            f"tail fit needs at least 10 positive samples, got {len(coords)}"
+            f"tail fit needs at least 10 positive samples, got {len(points)}"
         )
-    slope = np.polyfit(np.log(coords), np.log(dens), 1)[0]
-    return -float(slope)
+    try:
+        fit = statistics.linear_regression(*zip(*points))
+    except statistics.StatisticsError as exc:  # every coordinate is the same
+        raise InsufficientDataError(f"tail fit needs distinct coordinates: {exc}") from None
+    return -fit.slope
 
 
 def circle_angle_of_price(p: float) -> float:
@@ -277,8 +287,4 @@ def circle_map(t: float, domain: str = POSITIVE) -> float:
         mag = math.exp(t)
     except OverflowError:
         mag = math.inf
-    if domain == POSITIVE:
-        return circle_angle_of_price(mag)
-    if domain == NEGATIVE:
-        return circle_angle_of_price(-mag)
-    raise ParameterError(f"domain must be {POSITIVE!r} or {NEGATIVE!r}, got {domain!r}")
+    return circle_angle_of_price(_domain_sign(domain) * mag)

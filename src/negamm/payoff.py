@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from . import curves
-from .curves import CurveSpec, Family
+from .curves import CurveSpec
 from .errors import DomainError, ParameterError
 
 
@@ -38,10 +38,9 @@ class GreeksPoint:
 def _check_price_domain(spec: CurveSpec, p: float) -> None:
     if not math.isfinite(p):
         raise DomainError(f"price must be finite, got p={p}")
-    fam = spec.family
-    if fam in (Family.CPMM, Family.PARABOLA) and p <= 0.0:
+    if curves._FAMILIES[spec.family].positive_greeks and p <= 0.0:
         raise DomainError(
-            f"{fam.value} payoff is defined for p > 0, got p={p}"
+            f"{spec.family.value} payoff is defined for p > 0, got p={p}"
         )
 
 
@@ -68,55 +67,7 @@ def gamma(spec: CurveSpec, p: float) -> float:
     parabola (m=2): -2 / (1+p)^3.
     """
     _check_price_domain(spec, p)
-    fam = spec.family
-    if fam is Family.CCMM:
-        return -spec.k / (1.0 + p * p) ** 1.5
-    if fam is Family.CPMM:
-        return -spec.L / (2.0 * p * math.sqrt(p))
-    if fam is Family.PARABOLA:
-        if spec.m != 2:
-            raise ParameterError(f"greeks are defined for the m=2 parabola, got m={spec.m}")
-        return -2.0 / (1.0 + p) ** 3
-    return _csemm_gamma(spec, curves.csemm_x_from_price(p, spec.alpha, spec.beta))
-
-
-def _csemm_gamma(spec: CurveSpec, x: float) -> float:
-    """dx/dp at reserve x on the super-ellipse, by implicit differentiation.
-
-    With F(x, y) = |x/a-1|^ua + |y/b-1|^ub - 1 and the price written as
-    p = Fx/Fy, one more derivative along the branch gives
-
-        dp/dx = Fx'/Fy + Fx^2 * Fy' / Fy^3,
-
-    and gamma is its reciprocal.  At the exact fold x=a the local exponent
-    decides: u(a) < 2 pins gamma to 0 (the price leaves the fold with
-    unbounded slope), u(a) > 2 sends it to -inf (flat spot), and u(a)=2
-    keeps it finite.  The u(a)=2 test carries a 1e-9 band: the circle
-    parameter alpha = 2+sqrt(2) only lands near 2 in floats, and within
-    any representable neighbourhood of the fold the near-2 exponent is
-    indistinguishable from 2 exactly.
-    """
-    a, b = spec.alpha, spec.beta
-    u_a = curves.csemm_exponent(a)
-    u_b = curves.csemm_exponent(b)
-    inner = curves._csemm_inner(x, a, u_a)
-    if x == a:
-        if u_a < 2.0 - 1e-9:
-            return 0.0
-        if u_a > 2.0 + 1e-9:
-            return -math.inf
-        fy = -(u_b / b)  # |y/b-1| = 1 at the fold
-        fxp = u_a * (u_a - 1.0) / (a * a)
-        return fy / fxp
-    lgx = curves._log_abs_dev(x, a)
-    sgn_x = -1.0 if x < a else 1.0
-    lgy = math.log(inner) / u_b  # ln|y/b-1| on the lower branch
-    fx = (u_a / a) * math.exp((u_a - 1.0) * lgx) * sgn_x
-    fy = -(u_b / b) * math.exp((u_b - 1.0) * lgy)
-    fxp = (u_a * (u_a - 1.0) / (a * a)) * math.exp((u_a - 2.0) * lgx)
-    fyp = (u_b * (u_b - 1.0) / (b * b)) * math.exp((u_b - 2.0) * lgy)
-    dpdx = fxp / fy + fx * fx * fyp / (fy * fy * fy)
-    return 1.0 / dpdx
+    return curves._FAMILIES[spec.family].gamma(spec, p, None)
 
 
 def theta(spec: CurveSpec, p: float, sigma_iv: float) -> float:
@@ -132,10 +83,7 @@ def greeks(spec: CurveSpec, p: float, sigma_iv: float = 0.0) -> GreeksPoint:
         raise ParameterError(f"sigma_iv must be >= 0, got {sigma_iv}")
     _check_price_domain(spec, p)
     state = curves.state_from_price(spec, p)
-    if spec.family is Family.CSEMM:
-        g = _csemm_gamma(spec, state.x)  # one inversion serves every greek
-    else:
-        g = gamma(spec, p)
+    g = curves._FAMILIES[spec.family].gamma(spec, p, state.x)  # reuses the inverted x
     return GreeksPoint(
         p=p,
         value=p * state.x + state.y,

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-import numpy as np
-
 from .errors import (
     InsufficientDataError,
     MonotonicityError,
@@ -151,20 +149,12 @@ def negative_price_stats(series: PriceSeries) -> dict[int, YearStats]:
     """Per calendar year: number of strictly negative prices and the minimum."""
     if len(series) == 0:
         raise SeriesError("empty series")
-    out: dict[int, YearStats] = {}
+    tally: dict[int, list] = {}  # year -> [negative days, minimum]
     for day, price in zip(series.dates, series.prices):
-        year = day.year
-        prev = out.get(year)
-        if prev is None:
-            out[year] = YearStats(
-                negative_days=1 if price < 0.0 else 0, min_price=price
-            )
-        else:
-            out[year] = YearStats(
-                negative_days=prev.negative_days + (1 if price < 0.0 else 0),
-                min_price=min(prev.min_price, price),
-            )
-    return out
+        stat = tally.setdefault(day.year, [0, price])
+        stat[0] += 1 if price < 0.0 else 0
+        stat[1] = min(stat[1], price)
+    return {year: YearStats(n, low) for year, (n, low) in tally.items()}
 
 
 def hill_tail_index(
@@ -177,25 +167,28 @@ def hill_tail_index(
 
         alpha = 1 / mean(ln(X_(i) / X_(top_k)),  i = 1..top_k-1.
 
-    Requires 2 <= top_k <= n/2.  A constant block (all ratios 1) has no
-    tail to measure and raises InsufficientDataError.
+    Requires finite values and 2 <= top_k <= n/2.  A constant block (all
+    ratios 1) has no tail to measure and raises InsufficientDataError.
     """
     values = ret.values if isinstance(ret, ReturnSeries) else ret
-    arr = np.abs(np.asarray(list(values), dtype=float))
-    n = arr.size
+    mags = [abs(float(v)) for v in values]
+    for v in mags:
+        if not math.isfinite(v):
+            raise SeriesError(f"Hill estimator needs finite returns, got |r|={v!r}")
+    n = len(mags)
     if not isinstance(top_k, int):
         raise SeriesError(f"top_k must be an integer, got {top_k!r}")
     if top_k < 2 or n < 4 or top_k > n // 2:
         raise InsufficientDataError(
             f"top_k must lie in [2, n/2] with n={n}, got top_k={top_k}"
         )
-    top = np.sort(arr)[::-1][:top_k]
+    top = sorted(mags, reverse=True)[:top_k]
     x_k = top[-1]
     if x_k <= 0.0:
         raise InsufficientDataError(
             "tail is degenerate: the top_k-th largest |return| is zero"
         )
-    mean_log = float(np.mean(np.log(top[:-1] / x_k)))
+    mean_log = math.fsum(math.log(v / x_k) for v in top[:-1]) / (top_k - 1)
     if mean_log <= 0.0:
         raise InsufficientDataError(
             "tail is degenerate: top returns are all equal"

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from . import curves
-from .curves import CurveSpec, Family, PoolState
+from .curves import CurveSpec, PoolState
 from .errors import DomainExceeded, InvalidFee, ParameterError
 
 TOKEN_X = "x"
@@ -39,10 +39,13 @@ class SwapRequest:
 
 @dataclass(frozen=True)
 class SwapResult:
+    """Outcome of one exact-input trade; ``new_state`` is where it leaves the pool."""
+
     amount_out: float
     price_before: float
     price_after: float
     residual_after: float
+    new_state: PoolState
 
 
 def _validate_request(req: SwapRequest) -> None:
@@ -61,65 +64,28 @@ def _side_of_fold(spec: CurveSpec, state: PoolState) -> str:
     so a y-input trade from the fold moves toward positive prices.
     """
     fx = curves.fold_x(spec)
-    if fx is None:
-        return "left"
-    return "left" if state.x <= fx else "right"
+    return "left" if fx is None or state.x <= fx else "right"
 
 
-def _check_x_domain(spec: CurveSpec, x_new: float) -> None:
-    fam = spec.family
-    if fam is Family.CCMM:
-        hi = 2.0 * spec.k
-        if x_new < 0.0 or x_new > hi:
-            raise DomainExceeded(
-                f"trade would move x to {x_new}, outside the arc [0, {hi}]"
-            )
-    elif fam is Family.CSEMM:
-        hi = 2.0 * spec.alpha
-        if x_new < 0.0 or x_new > hi:
-            raise DomainExceeded(
-                f"trade would move x to {x_new}, outside the branch [0, {hi}]"
-            )
-    elif fam is Family.PARABOLA:
-        if x_new < 0.0:
-            raise DomainExceeded(f"trade would move x to {x_new}, below 0")
-    else:  # cpmm
-        if x_new <= 0.0:
-            raise DomainExceeded(f"trade would drain the cpmm x reserve (x={x_new})")
-
-
-def _check_y_domain(spec: CurveSpec, y_new: float, side: str) -> None:
-    fam = spec.family
-    if fam is Family.CCMM:
-        if y_new < 0.0 or y_new > spec.k:
-            raise DomainExceeded(
-                f"trade would move y to {y_new}, outside the arc [0, {spec.k}]"
-            )
-    elif fam is Family.CSEMM:
-        if y_new < 0.0 or y_new > spec.beta:
-            raise DomainExceeded(
-                f"trade would move y to {y_new}, outside the branch [0, {spec.beta}]"
-            )
-    elif fam is Family.PARABOLA:
-        if y_new < 0.0 or (side == "left" and y_new > 1.0):
-            raise DomainExceeded(
-                f"trade would move y to {y_new}, off the current side of the fold"
-            )
-    else:  # cpmm
-        if y_new <= 0.0:
-            raise DomainExceeded(f"trade would drain the cpmm y reserve (y={y_new})")
+def _check_reserve(spec: CurveSpec, name: str, value: float, bounds) -> None:
+    if curves._outside(spec, value, bounds):
+        raise DomainExceeded(
+            f"trade would move {name} to {value}, outside the branch "
+            f"{curves._interval(spec, bounds)}"
+        )
 
 
 def _traverse(spec: CurveSpec, state: PoolState, req: SwapRequest) -> PoolState:
     """Post-trade state for an exact-input trade; pure."""
+    rec = curves._FAMILIES[spec.family]
     effective = (1.0 - req.fee) * req.amount_in
     if req.token_in == TOKEN_X:
         x_new = state.x + effective
-        _check_x_domain(spec, x_new)
+        _check_reserve(spec, "x", x_new, rec.x_bounds(spec))
         return curves.state_from_x(spec, x_new)
     y_new = state.y + effective
     side = _side_of_fold(spec, state)
-    _check_y_domain(spec, y_new, side)
+    _check_reserve(spec, "y", y_new, rec.y_bounds(spec, side))
     x_new = curves.x_from_y_on_side(spec, y_new, side)
     new_state = curves.state_from_x(spec, x_new)
     # Re-anchor y to the exact requested reserve; x solved for it.
@@ -142,16 +108,19 @@ def quote_exact_in(spec: CurveSpec, state: PoolState, req: SwapRequest) -> SwapR
         price_before=price_before,
         price_after=price_after,
         residual_after=residual,
+        new_state=new_state,
     )
 
 
 def execute_swap(
     spec: CurveSpec, state: PoolState, req: SwapRequest
 ) -> tuple[PoolState, SwapResult]:
-    """Quote and apply an exact-input swap, returning (new_state, result)."""
+    """Quote and apply an exact-input swap, returning (new_state, result).
+
+    The quote's own traversal is the trade: the curve is solved once.
+    """
     result = quote_exact_in(spec, state, req)
-    new_state = _traverse(spec, state, req)
-    return new_state, result
+    return result.new_state, result
 
 
 def price_impact(

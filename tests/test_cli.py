@@ -311,3 +311,62 @@ def test_subprocess_runs_byte_identical():
     b = subprocess.run(cmd, capture_output=True, check=True)
     assert a.stdout == b.stdout
     assert a.stdout  # sanity: something was emitted
+
+
+# ------------------------------------------------- family table, spec parsing
+
+
+def test_family_choices_follow_the_family_enum():
+    import argparse
+
+    from negamm import Family
+    from negamm.cli import _build_parser
+
+    parser = _build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for sub in subs.choices.values():
+        family = next(a for a in sub._actions if a.dest == "family")
+        assert list(family.choices) == [f.value for f in Family]
+    assert [f.value for f in Family] == ["cpmm", "ccmm", "csemm", "parabola"]
+
+
+def test_fingerprint_closed_form_refuses_quartic_parabola():
+    for argv in (
+        ["fingerprint", "--family", "parabola", "--m", "4", "--grid", "1:2:3"],
+        ["compare", "--specs", "parabola:m=4", "--grid", "1:2:3"],
+    ):
+        code, out, err = invoke(argv)
+        assert code == 1, argv
+        assert out == ""
+        assert "fingerprints are defined for the m=2 parabola only" in err
+
+
+def test_compare_spec_non_integer_m_is_usage_error():
+    for spec in ("parabola:m=2.5", "parabola:m=3.9"):
+        code, out, err = invoke(["compare", "--specs", spec, "--grid", "1:2:3"])
+        assert code == 2, spec
+        assert out == ""
+        assert "integer" in err
+
+
+def test_compare_spec_unknown_parameter_is_usage_error():
+    code, out, err = invoke(["compare", "--specs", "ccmm:k=1,alpha=9", "--grid", "1:2:3"])
+    assert code == 2
+    assert out == ""
+    assert "unknown parameter 'alpha'" in err
+
+
+def test_compare_gaussian_nonfinite_mu_is_refused():
+    code, out, err = invoke(
+        ["compare", "--specs", "gaussian:mu=nan,sigma=1,mass=1", "--grid", "1:2:3"]
+    )
+    assert code == 1
+    assert out == ""
+    assert "mu" in err
+
+
+def test_cli_import_does_not_load_numpy():
+    probe = "import sys, negamm.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "False"

@@ -380,3 +380,22 @@ def test_family_enum_round_trips():
     assert Family("ccmm") is Family.CCMM
     assert CurveSpec.ccmm(1.0).family is Family.CCMM
     assert CurveSpec.cpmm(1.0).family is Family.CPMM
+
+
+def test_every_family_has_a_record():
+    from negamm import curves
+
+    assert list(curves._FAMILIES) == list(Family)
+    for args in ((Family.CCMM,), ("ccmm",)):
+        spec = CurveSpec(*args, k=1.0)
+        assert spec.family is Family.CCMM
+        assert spec == CurveSpec.ccmm(1.0)
+
+
+def test_parabola_left_side_refuses_y_above_one():
+    spec = CurveSpec.parabola(2)
+    assert x_from_y_on_side(spec, 1.0, "left") == 0.0
+    with pytest.raises(DomainError):
+        x_from_y_on_side(spec, math.nextafter(1.0, 2.0), "left")
+    # sqrt(1 + ulp) rounds to 1: the right side still quotes it, at x = 4
+    assert x_from_y_on_side(spec, math.nextafter(1.0, 2.0), "right") == 4.0

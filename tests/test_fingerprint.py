@@ -281,3 +281,15 @@ def test_circle_map_monotone():
     ts = np.linspace(-20.0, 20.0, 101)
     angles = [circle_map(float(t), POSITIVE) for t in ts]
     assert all(b > a for a, b in zip(angles, angles[1:]))
+
+
+def test_gaussian_fingerprint_rejects_nonfinite_mu():
+    for mu in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError):
+            gaussian_fingerprint(0.0, mu, 1.0, 1.0)
+
+
+def test_tail_index_needs_distinct_coordinates():
+    samples = [FingerprintSample(coord=2.0, density=1.0 + i) for i in range(12)]
+    with pytest.raises(InsufficientDataError):
+        tail_index(samples)

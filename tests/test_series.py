@@ -216,3 +216,17 @@ def test_hill_degenerate_tails():
         hill_tail_index([5.0] * 40, top_k=10)  # constant: no tail
     with pytest.raises(InsufficientDataError):
         hill_tail_index([0.0] * 40, top_k=10)
+
+
+def test_hill_refuses_non_finite_values():
+    base = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(SeriesError):
+            hill_tail_index(base + [bad], top_k=3)
+
+
+def test_hill_accepts_what_float_accepts():
+    values = [1.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    assert hill_tail_index([str(v) for v in values], top_k=3) == hill_tail_index(
+        values, top_k=3
+    )

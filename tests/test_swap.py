@@ -275,3 +275,29 @@ def test_negative_price_region_x_input_yields_negative_out():
     result = quote_exact_in(spec, state, SwapRequest(TOKEN_X, 0.3))
     assert result.price_before < 0.0
     assert result.amount_out < 0.0
+
+
+def test_execute_swap_solves_the_curve_once(monkeypatch):
+    from negamm import curves
+
+    calls = {"state_from_x": 0, "x_from_y_on_side": 0}
+    for name in calls:
+        original = getattr(curves, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(curves, name, counting)
+    specs = [CurveSpec.ccmm(1.0), CurveSpec.csemm(3.0, 4.0), CurveSpec.cpmm(1.0),
+             CurveSpec.parabola(2)]
+    for spec in specs:
+        state = state_from_x(spec, 0.5)
+        for req in (SwapRequest(TOKEN_X, 0.2, 0.003), SwapRequest(TOKEN_Y, 0.1, 0.003)):
+            for name in calls:
+                calls[name] = 0
+            new, res = execute_swap(spec, state, req)
+            assert calls["state_from_x"] == 1, (spec, req)
+            assert calls["x_from_y_on_side"] == (req.token_in == TOKEN_Y), (spec, req)
+            assert res == quote_exact_in(spec, state, req)
+            assert new == res.new_state
