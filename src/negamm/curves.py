@@ -23,7 +23,10 @@ the price of token X in units of token Y.
 Everything the package knows about a family sits in its record in
 ``_FAMILIES`` at the end of this module: parameters, branch bounds, fold,
 y(x), x(y, side), p(x), the state at a price and gamma = dx/dp.  The generic
-functions and the other modules read the records.
+functions and the other modules read the records.  A spec validates its
+parameters and computes its derived constants (csemm: u(alpha) and u(beta))
+once, when it is built; the record kernels trust a built spec and check only
+their per-call arguments.
 """
 
 from __future__ import annotations
@@ -70,7 +73,9 @@ class CurveSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
-        _FAMILIES[self.family].check(self)
+        rec = _FAMILIES[self.family]
+        rec.check(self)
+        object.__setattr__(self, "_consts", rec.derive(self))  # not a field
 
     @classmethod
     def ccmm(cls, k: float) -> "CurveSpec":
@@ -137,6 +142,10 @@ def ccmm_y_from_x(x: float, k: float, branch: str = "lower") -> float:
     """
     if not math.isfinite(k) or k <= 0.0:
         raise ParameterError(f"ccmm requires k > 0, got k={k}")
+    return _ccmm_y(x, k, branch)
+
+
+def _ccmm_y(x: float, k: float, branch: str) -> float:
     if not math.isfinite(x) or x < 0.0 or x > 2.0 * k:
         raise DomainError(f"ccmm x must lie in [0, {2.0 * k}], got x={x}")
     root = math.sqrt(x * (2.0 * k - x))
@@ -154,27 +163,34 @@ def csemm_y_from_x(x: float, alpha: float, beta: float, branch: str = "lower") -
     spanning y in [0, beta] for x in [0, 2*alpha].  Powers are evaluated in
     log space so the endpoints x=0, x=alpha and x=2*alpha come out exact.
     """
-    u_a = csemm_exponent(alpha)
-    u_b = csemm_exponent(beta)
-    if not math.isfinite(x) or x < 0.0 or x > 2.0 * alpha:
-        raise DomainError(f"csemm x must lie in [0, {2.0 * alpha}], got x={x}")
-    inner = _csemm_inner(x, alpha, u_a)
+    return _csemm_y(x, alpha, beta, csemm_exponent(alpha), csemm_exponent(beta), branch)
+
+
+def _csemm_y(x: float, a: float, b: float, u_a: float, u_b: float, branch: str) -> float:
+    """csemm_y_from_x given u_a = u(a) and u_b = u(b)."""
+    if not math.isfinite(x) or x < 0.0 or x > 2.0 * a:
+        raise DomainError(f"csemm x must lie in [0, {2.0 * a}], got x={x}")
+    inner = _csemm_inner(x, a, u_a)
     if branch == "lower":
         if inner == 0.0:
-            return float(beta)
+            return float(b)
         if inner == 1.0:
             return 0.0
-        return -beta * math.expm1(math.log(inner) / u_b)
+        return -b * math.expm1(math.log(inner) / u_b)
     if branch == "upper":
         if inner == 0.0:
-            return float(beta)
-        return beta * (1.0 + math.exp(math.log(inner) / u_b))
+            return float(b)
+        return b * (1.0 + math.exp(math.log(inner) / u_b))
     raise ParameterError(f"branch must be 'lower' or 'upper', got {branch!r}")
 
 
 def parabola_y_from_x(x: float, m: int = 2) -> float:
     """y = (1 - sqrt(x))^m for x >= 0 and even m >= 2."""
-    CurveSpec.parabola(m)  # parameter validation
+    _parabola_m(int(m))
+    return _parabola_y(x, m)
+
+
+def _parabola_y(x: float, m: int) -> float:
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"parabola requires x >= 0, got x={x}")
     return (1.0 - math.sqrt(x)) ** m
@@ -303,12 +319,18 @@ def price_of(spec: CurveSpec, state: PoolState) -> float:
     +/-inf at the arc endpoints.  Raises DomainError when the state's
     residual exceeds 1e-9 times the curve scale.
     """
+    return _priced(spec, state)[0]
+
+
+def _priced(spec: CurveSpec, state: PoolState) -> tuple[float, float]:
+    """(price, residual) of an on-curve state; see price_of."""
+    rec = _FAMILIES[spec.family]
     res = invariant_residual(spec, state.x, state.y)
-    if abs(res) > _RESIDUAL_TOL * residual_scale(spec):
+    if abs(res) > _RESIDUAL_TOL * rec.scale(spec):
         raise DomainError(
             f"state ({state.x}, {state.y}) is off-curve: residual {res:.3e}"
         )
-    return _FAMILIES[spec.family].state_price(spec, state)
+    return rec.state_price(spec, state), res
 
 
 def ccmm_angle_from_price(p: float) -> float:
@@ -462,7 +484,20 @@ def csemm_x_from_price(
     lo, hi = 0.0, 2.0 * alpha  # price(lo) = +inf, price(hi) = -inf
     wide = max(tol, 4.0 * math.ulp(hi))  # no wider bracket passes the exit test
     x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    # Halvings of a wide bracket outside the fences, walked bare: such a
+    # bracket spans over 4 ulp, so no midpoint can exhaust it.
+    done = 0
+    for done in range(max_iter):
+        if hi - lo <= wide or cl < x < cr:
+            break
+        if x <= cl:
+            lo = x
+        else:
+            hi = x
+        x = 0.5 * (lo + hi)
+    else:
+        done = max_iter
+    for _ in range(max_iter - done):
         width = hi - lo
         narrow = width <= wide and width <= max(tol, 4.0 * math.ulp(x))
         if cl < x < cr or narrow and bl < x < br:
@@ -514,7 +549,11 @@ def parabola_x_from_price(p: float, m: int = 2) -> float:
     x -> inf.  Only m=2 admits this closed inversion; other m values are
     plot-only.
     """
-    CurveSpec.parabola(m)
+    _parabola_m(int(m))
+    return _parabola_x(p, m)
+
+
+def _parabola_x(p: float, m: int) -> float:
     if m != 2:
         raise ParameterError(
             f"price inversion is only available for m=2, got m={m}"
@@ -533,7 +572,7 @@ def state_from_x(spec: CurveSpec, x: float) -> PoolState:
 def _state(spec: CurveSpec, x: float, y: float) -> PoolState:
     """The state at reserves (x, y), with the arc angle where the family has one."""
     theta = _FAMILIES[spec.family].theta
-    return PoolState(x=x, y=y, theta=theta(spec, x, y) if theta else None)
+    return PoolState(x, y, theta(spec, x, y) if theta else None)
 
 
 def state_from_price(spec: CurveSpec, p: float) -> PoolState:
@@ -555,8 +594,10 @@ class _Record:
     ``params`` maps the CurveSpec fields used to their type, in constructor
     order.  Branch reserves lie in [lo, hi] of ``x_bounds`` / ``y_bounds``
     (default [0, inf)), or (lo, hi] when ``open_low``; ``gamma(spec, p, x)``
-    inverts p when x is None.  Entries name public functions at call time and
-    never store them, so a patched or wrapped module attribute is what runs.
+    inverts p when x is None.  ``derive`` returns the spec's derived constants,
+    stored on it as ``_consts`` when it is built.  Entries call private kernels,
+    which trust the built spec, or name public functions at call time and never
+    store them, so a patched or wrapped module attribute is what runs.
     """
 
     params: dict
@@ -578,6 +619,7 @@ class _Record:
     state_price: Callable = lambda spec, state: _price_from_x(spec, state.x)
     theta: Callable | None = None  # arc angle of a state, ccmm only
     check_fingerprint: Callable = lambda spec: None
+    derive: Callable = lambda spec: None
 
 
 def _require(spec: CurveSpec, lo: float, strict: bool, *names: str) -> None:
@@ -607,22 +649,23 @@ def _ccmm_price(spec: CurveSpec, x: float) -> float:
 def _ccmm_at_price(spec: CurveSpec, p: float) -> PoolState:
     theta = ccmm_angle_from_price(p)
     k = spec.k
-    return PoolState(x=k * (1.0 + math.cos(theta)), y=k * (1.0 + math.sin(theta)), theta=theta)
+    return PoolState(k * (1.0 + math.cos(theta)), k * (1.0 + math.sin(theta)), theta)
 
 
 def _csemm_residual(spec: CurveSpec, x: float, y: float) -> float:
     a, b = spec.alpha, spec.beta
-    term_x = 1.0 - _csemm_inner(x, a, csemm_exponent(a))
-    term_y = 1.0 - _csemm_inner(y, b, csemm_exponent(b))
+    u_a, u_b = spec._consts
+    term_x = 1.0 - _csemm_inner(x, a, u_a)
+    term_y = 1.0 - _csemm_inner(y, b, u_b)
     return term_x + term_y - 1.0
 
 
 def _csemm_x_of_y(spec: CurveSpec, y: float, side: str) -> float:
     a, b = spec.alpha, spec.beta
-    inner = _csemm_inner(y, b, csemm_exponent(b))
+    u_a, u_b = spec._consts
+    inner = _csemm_inner(y, b, u_b)
     if inner == 0.0:
         return float(a)
-    u_a = csemm_exponent(a)
     if side == "left":
         return -a * math.expm1(math.log(inner) / u_a)
     return a * (2.0 + math.expm1(math.log(inner) / u_a))
@@ -647,8 +690,7 @@ def _csemm_gamma(spec: CurveSpec, p: float, x: float | None) -> float:
     a, b = spec.alpha, spec.beta
     if x is None:
         x = csemm_x_from_price(p, a, b)
-    u_a = csemm_exponent(a)
-    u_b = csemm_exponent(b)
+    u_a, u_b = spec._consts
     inner = _csemm_inner(x, a, u_a)
     if x == a:
         if u_a < 2.0 - 1e-9:
@@ -669,8 +711,7 @@ def _csemm_gamma(spec: CurveSpec, p: float, x: float | None) -> float:
     return 1.0 / dpdx
 
 
-def _parabola_check(spec: CurveSpec) -> None:
-    m = spec.m
+def _parabola_m(m: int | None) -> None:
     if m is None or not isinstance(m, int) or m < 2 or m % 2 != 0:
         raise ParameterError(f"parabola requires even integer m >= 2, got m={m}")
 
@@ -709,7 +750,7 @@ _FAMILIES: dict[Family, _Record] = {
         x_of_y=lambda s, y, side: s.L * s.L / y,
         price=lambda s, x: (s.L / x) * (s.L / x),  # L^2 / x^2
         state_price=lambda s, state: state.y / state.x,
-        at_price=lambda s, p: PoolState(x=cpmm_x_from_price(p, s.L), y=s.L * math.sqrt(p)),
+        at_price=lambda s, p: PoolState(cpmm_x_from_price(p, s.L), s.L * math.sqrt(p)),
         gamma=lambda s, p, x: -s.L / (2.0 * p * math.sqrt(p)),
         positive_greeks=True,
     ),
@@ -722,7 +763,7 @@ _FAMILIES: dict[Family, _Record] = {
         scale=lambda s: s.k,
         residual=lambda s, x, y: (x - s.k) ** 2 + (y - s.k) ** 2 - s.k * s.k,
         upper_branch=True,
-        y=lambda s, x, branch: ccmm_y_from_x(x, s.k, branch),
+        y=lambda s, x, branch: _ccmm_y(x, s.k, branch),
         x_of_y=_ccmm_x_of_y,
         price=_ccmm_price,
         at_price=_ccmm_at_price,
@@ -737,24 +778,24 @@ _FAMILIES: dict[Family, _Record] = {
         fold=lambda s: s.alpha,
         residual=_csemm_residual,
         upper_branch=True,
-        y=lambda s, x, branch: csemm_y_from_x(x, s.alpha, s.beta, branch),
+        y=lambda s, x, branch: _csemm_y(x, s.alpha, s.beta, *s._consts, branch),
         x_of_y=_csemm_x_of_y,
-        price=lambda s, x: _csemm_price(
-            x, s.alpha, s.beta, csemm_exponent(s.alpha), csemm_exponent(s.beta)),
+        price=lambda s, x: _csemm_price(x, s.alpha, s.beta, *s._consts),
         at_price=lambda s, p: state_from_x(s, csemm_x_from_price(p, s.alpha, s.beta)),
         gamma=_csemm_gamma,
+        derive=lambda s: (csemm_exponent(s.alpha), csemm_exponent(s.beta)),
     ),
     Family.PARABOLA: _Record(
         params={"m": int},
         defaults={"m": 2},
-        check=_parabola_check,
+        check=lambda s: _parabola_m(s.m),
         y_bounds=lambda s, side: (0.0, 1.0 if side == "left" else math.inf),
         fold=lambda s: 1.0,
         residual=lambda s, x, y: y - (1.0 - math.sqrt(max(x, 0.0))) ** s.m,
-        y=lambda s, x, branch: parabola_y_from_x(x, s.m),
+        y=lambda s, x, branch: _parabola_y(x, s.m),
         x_of_y=_parabola_x_of_y,
         price=_parabola_price,
-        at_price=lambda s, p: state_from_x(s, parabola_x_from_price(p, s.m)),
+        at_price=lambda s, p: state_from_x(s, _parabola_x(p, s.m)),
         gamma=_parabola_gamma,
         positive_greeks=True,
         check_fingerprint=_parabola_check_fingerprint,

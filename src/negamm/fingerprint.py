@@ -214,7 +214,10 @@ def numeric_fingerprint(
         if space == TICK:
             if not math.isfinite(c):
                 raise DomainError(f"tick must be finite, got t={c}")
-            s = math.exp(0.5 * c)
+            try:
+                s = math.exp(0.5 * c)
+            except OverflowError:
+                raise DomainError(f"tick t={c} overflows the sqrt-price e^(t/2)") from None
         else:
             s = c
         if not math.isfinite(s) or s <= 0.0:

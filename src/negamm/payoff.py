@@ -84,10 +84,4 @@ def greeks(spec: CurveSpec, p: float, sigma_iv: float = 0.0) -> GreeksPoint:
     _check_price_domain(spec, p)
     state = curves.state_from_price(spec, p)
     g = curves._FAMILIES[spec.family].gamma(spec, p, state.x)  # reuses the inverted x
-    return GreeksPoint(
-        p=p,
-        value=p * state.x + state.y,
-        delta=state.x,
-        gamma=g,
-        theta=-0.5 * sigma_iv * sigma_iv * g,
-    )
+    return GreeksPoint(p, p * state.x + state.y, state.x, g, -0.5 * sigma_iv * sigma_iv * g)

@@ -57,16 +57,6 @@ def _validate_request(req: SwapRequest) -> None:
         raise InvalidFee(f"fee must lie in [0, 1), got {req.fee}")
 
 
-def _side_of_fold(spec: CurveSpec, state: PoolState) -> str:
-    """Which side of the zero-price fold the state is on.
-
-    States exactly at the fold count as 'left' (the positive-price side),
-    so a y-input trade from the fold moves toward positive prices.
-    """
-    fx = curves.fold_x(spec)
-    return "left" if fx is None or state.x <= fx else "right"
-
-
 def _check_reserve(spec: CurveSpec, name: str, value: float, bounds) -> None:
     if curves._outside(spec, value, bounds):
         raise DomainExceeded(
@@ -84,12 +74,15 @@ def _traverse(spec: CurveSpec, state: PoolState, req: SwapRequest) -> PoolState:
         _check_reserve(spec, "x", x_new, rec.x_bounds(spec))
         return curves.state_from_x(spec, x_new)
     y_new = state.y + effective
-    side = _side_of_fold(spec, state)
+    # The side of the zero-price fold; a state exactly at the fold counts as
+    # 'left' (positive prices), so a y-input trade from it moves that way.
+    fx = rec.fold(spec)
+    side = "left" if fx is None or state.x <= fx else "right"
     _check_reserve(spec, "y", y_new, rec.y_bounds(spec, side))
     x_new = curves.x_from_y_on_side(spec, y_new, side)
     new_state = curves.state_from_x(spec, x_new)
     # Re-anchor y to the exact requested reserve; x solved for it.
-    return PoolState(x=new_state.x, y=y_new, theta=new_state.theta)
+    return PoolState(new_state.x, y_new, new_state.theta)
 
 
 def quote_exact_in(spec: CurveSpec, state: PoolState, req: SwapRequest) -> SwapResult:
@@ -97,19 +90,12 @@ def quote_exact_in(spec: CurveSpec, state: PoolState, req: SwapRequest) -> SwapR
     _validate_request(req)
     price_before = curves.price_of(spec, state)
     new_state = _traverse(spec, state, req)
-    price_after = curves.price_of(spec, new_state)
+    price_after, residual = curves._priced(spec, new_state)
     if req.token_in == TOKEN_X:
         amount_out = state.y - new_state.y
     else:
         amount_out = state.x - new_state.x
-    residual = curves.invariant_residual(spec, new_state.x, new_state.y)
-    return SwapResult(
-        amount_out=amount_out,
-        price_before=price_before,
-        price_after=price_after,
-        residual_after=residual,
-        new_state=new_state,
-    )
+    return SwapResult(amount_out, price_before, price_after, residual, new_state)
 
 
 def execute_swap(

@@ -370,3 +370,14 @@ def test_cli_import_does_not_load_numpy():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_numeric_tick_fingerprint_refuses_overflowing_tick():
+    code, out, err = invoke(
+        ["fingerprint", "--family", "ccmm", "--k", "1", "--source", "numeric",
+         "--space", "tick", "--grid", "1400:1500:3"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "t=1450.0" in err

@@ -4,6 +4,7 @@ Expected values marked "oracle" were generated with mpmath at 50 significant
 digits from the defining equations, then frozen here.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -399,3 +400,25 @@ def test_parabola_left_side_refuses_y_above_one():
         x_from_y_on_side(spec, math.nextafter(1.0, 2.0), "left")
     # sqrt(1 + ulp) rounds to 1: the right side still quotes it, at x = 4
     assert x_from_y_on_side(spec, math.nextafter(1.0, 2.0), "right") == 4.0
+
+
+def test_replace_recomputes_the_spec_exponents():
+    spec = dataclasses.replace(CurveSpec.csemm(3, 4), alpha=5.0)
+    assert spec._consts == (csemm_exponent(5.0), csemm_exponent(4.0))
+    for x in (0.5, 5.0, 9.0):
+        assert y_from_x(spec, x) == csemm_y_from_x(x, 5.0, 4.0)
+    assert price_of(spec, state_from_x(spec, 2.0)) == price_of(
+        CurveSpec.csemm(5.0, 4.0), state_from_x(CurveSpec.csemm(5.0, 4.0), 2.0))
+
+
+def test_curvespec_value_semantics_are_its_fields():
+    assert [f.name for f in dataclasses.fields(CurveSpec)] == [
+        "family", "k", "alpha", "beta", "m", "L"]
+    spec = CurveSpec.csemm(3.0, 4.0)
+    assert repr(spec) == (
+        "CurveSpec(family=<Family.CSEMM: 'csemm'>, k=None, alpha=3.0, beta=4.0, m=None, L=None)")
+    twin = CurveSpec("csemm", alpha=3.0, beta=4.0)
+    assert spec == twin and hash(spec) == hash(twin)
+    assert hash(spec) == hash((Family.CSEMM, None, 3.0, 4.0, None, None))
+    assert spec != CurveSpec.csemm(3.0, 5.0)
+    assert CurveSpec.parabola() == CurveSpec(Family.PARABOLA, m=2)

@@ -189,3 +189,21 @@ def test_csemm_greeks_inverts_once(monkeypatch):
             calls.clear()
             greeks(spec, float(p), 0.8)
             assert len(calls) == 1, (spec, p)
+
+
+def test_csemm_greeks_computes_exponents_only_in_the_inversion(monkeypatch):
+    from negamm import curves
+
+    calls = [0]
+    exponent = curves.csemm_exponent
+
+    def counting(c):
+        calls[0] += 1
+        return exponent(c)
+
+    monkeypatch.setattr(curves, "csemm_exponent", counting)
+    for spec, grid in CSEMM_GRIDS:
+        for p in grid[::8]:
+            calls[0] = 0
+            greeks(spec, float(p), 0.8)
+            assert calls[0] == 2, (spec, p)

@@ -12,7 +12,9 @@ from negamm import (
     ParameterError,
     PoolState,
     invariant_residual,
+    price_of,
     residual_scale,
+    state_from_price,
     state_from_x,
 )
 from negamm.swap import (
@@ -301,3 +303,66 @@ def test_execute_swap_solves_the_curve_once(monkeypatch):
             assert calls["x_from_y_on_side"] == (req.token_in == TOKEN_Y), (spec, req)
             assert res == quote_exact_in(spec, state, req)
             assert new == res.new_state
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that counts its calls; returns the counter."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+ALL_FAMILIES = [CurveSpec.ccmm(1.0), CurveSpec.csemm(3.0, 4.0), CurveSpec.cpmm(1.0),
+                CurveSpec.parabola(2)]
+BOTH_TOKENS = (SwapRequest(TOKEN_X, 0.2, 0.003), SwapRequest(TOKEN_Y, 0.1, 0.003))
+
+
+def test_csemm_swap_reads_the_spec_exponents(monkeypatch):
+    from negamm import curves
+
+    spec = CurveSpec.csemm(3.0, 4.0)
+    calls = _count_calls(monkeypatch, curves, "csemm_exponent")
+    for x in (0.5, 4.0):  # either side of the fold
+        state = state_from_x(spec, x)
+        for req in BOTH_TOKENS:
+            calls[0] = 0
+            execute_swap(spec, state, req)
+            assert calls[0] == 0, (x, req)
+
+
+def test_execute_swap_computes_each_residual_once(monkeypatch):
+    from negamm import curves
+
+    calls = _count_calls(monkeypatch, curves, "invariant_residual")
+    for spec in ALL_FAMILIES:
+        state = state_from_x(spec, 0.5)
+        for req in BOTH_TOKENS:
+            calls[0] = 0
+            execute_swap(spec, state, req)
+            assert calls[0] == 2, (spec, req)
+
+
+def test_parabola_hot_paths_build_no_spec(monkeypatch):
+    spec = CurveSpec.parabola(2)
+    state = state_from_x(spec, 0.5)
+    calls = _count_calls(monkeypatch, CurveSpec, "__post_init__")
+    for req in BOTH_TOKENS:
+        execute_swap(spec, state, req)
+    state_from_price(spec, 0.7)
+    assert calls[0] == 0
+
+
+def test_result_residual_and_price_are_those_of_the_new_state():
+    for spec in ALL_FAMILIES:
+        for x in (0.3, 0.5, 1.2):
+            state = state_from_x(spec, x)
+            for req in BOTH_TOKENS:
+                new, res = execute_swap(spec, state, req)
+                assert res.residual_after == invariant_residual(spec, new.x, new.y)
+                assert res.price_after == price_of(spec, new)
