@@ -31,20 +31,20 @@ _DOMAINS = {
 }
 
 
-def _parse_grid(text: str, parser: argparse.ArgumentParser) -> list[float]:
+def _parse_grid(text: str) -> list[float]:
     """min:max:steps with inclusive endpoints; steps is the point count."""
     parts = text.split(":")
     if len(parts) != 3:
-        parser.error(f"--grid must be min:max:steps, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be min:max:steps, got {text!r}")
     try:
         lo, hi = float(parts[0]), float(parts[1])
         steps = int(parts[2])
     except ValueError:
-        parser.error(f"--grid must be numeric min:max:steps, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be numeric min:max:steps, got {text!r}")
     if steps < 2:
-        parser.error(f"--grid needs steps >= 2, got {steps}")
+        raise argparse.ArgumentTypeError(f"needs steps >= 2, got {steps}")
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        parser.error(f"--grid needs finite min < max, got {text!r}")
+        raise argparse.ArgumentTypeError(f"needs finite min < max, got {text!r}")
     # numpy.linspace's points, bit for bit: lo + i*step, then hi itself; where
     # the step underflows to zero, lo + (i/(steps-1))*(hi-lo).
     span = hi - lo
@@ -54,32 +54,20 @@ def _parse_grid(text: str, parser: argparse.ArgumentParser) -> list[float]:
 
 
 def _spec_from_args(args, parser: argparse.ArgumentParser) -> CurveSpec:
-    fam = args.family
-    if fam is None:
-        parser.error("--family is required")
-    rec = curves._FAMILIES[Family(fam)]
+    rec = curves._FAMILIES[Family(args.family)]
     given = {name: getattr(args, name) for name in rec.params}
     values = {name: rec.defaults.get(name) if v is None else v for name, v in given.items()}
     if None in values.values():
         required = [f"--{name}" for name in rec.params if name not in rec.defaults]
         verb = "is" if len(required) == 1 else "are"
-        parser.error(f"{' and '.join(required)} {verb} required for --family {fam}")
-    return CurveSpec(family=fam, **values)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return repr(value)
-        if math.isnan(value):
-            return "nan"
-        return "inf" if value > 0 else "-inf"
-    return str(value)
+        parser.error(f"{' and '.join(required)} {verb} required for --family {args.family}")
+    return CurveSpec(family=args.family, **values)
 
 
 def _json_cell(value):
+    """JSON has no nan or infinity, so those floats go out as their text."""
     if isinstance(value, float) and not math.isfinite(value):
-        return _fmt(value)
+        return str(value)
     return value
 
 
@@ -97,7 +85,7 @@ def _emit(header, rows, args) -> None:
         writer = _csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([str(v) for v in row])
         text = buf.getvalue()
     if args.output_path:
         with open(args.output_path, "w", encoding="utf-8", newline="") as fh:
@@ -108,21 +96,16 @@ def _emit(header, rows, args) -> None:
 
 def _cmd_curve(args, parser):
     spec = _spec_from_args(args, parser)
-    xs = _parse_grid(args.grid, parser)
-    rows = [[float(x), curves.y_from_x(spec, float(x), args.branch)] for x in xs]
+    rows = [[x, curves.y_from_x(spec, x, args.branch)] for x in args.grid]
     return ["x", "y"], rows
 
 
 def _cmd_swap(args, parser):
     spec = _spec_from_args(args, parser)
-    if args.x is None:
-        parser.error("--x (the current x reserve) is required for swap")
-    if args.token_in is None or args.amount_in is None:
-        parser.error("--token-in and --amount-in are required for swap")
     if args.y is None:
         state = curves.state_from_x(spec, args.x)
     else:
-        state = curves._state(spec, args.x, args.y)
+        state = curves.PoolState(args.x, args.y)
     req = swap.SwapRequest(
         token_in=args.token_in, amount_in=args.amount_in, fee=args.fee
     )
@@ -147,12 +130,15 @@ def _cmd_swap(args, parser):
 
 
 def _fingerprint_rows(spec, grid, space, domain, source):
-    """Rows (coord, density, domain_sign) for one domain of one curve."""
+    """Rows (coord, density, domain_sign) for one domain of one curve.
+
+    The closed form is used where the family has one, unless ``source`` is numeric.
+    """
     eval_space = fingerprint.TICK if space == "circle" else space
-    if source == "analytic":
+    density = fingerprint._CLOSED_FORMS.get(spec.family)
+    if density is not None and source != "numeric":
         curves._FAMILIES[spec.family].check_fingerprint(spec)
-        density = fingerprint._CLOSED_FORMS[spec.family]
-        points = [(float(t), density(spec, float(t), eval_space, domain)) for t in grid]
+        points = [(t, density(spec, t, eval_space, domain)) for t in grid]
     else:
         samples = fingerprint.numeric_fingerprint(spec, grid, eval_space, domain)
         points = [(smp.coord, smp.density) for smp in samples]
@@ -161,40 +147,28 @@ def _fingerprint_rows(spec, grid, space, domain, source):
     return [[coord, d, domain] for coord, d in points]
 
 
-def _resolve_source(spec, requested, parser):
-    closed = spec.family in fingerprint._CLOSED_FORMS
-    if requested == "auto":
-        return "analytic" if closed else "numeric"
-    if requested == "analytic" and not closed:
+def _cmd_fingerprint(args, parser):
+    spec = _spec_from_args(args, parser)
+    if args.source == "analytic" and spec.family not in fingerprint._CLOSED_FORMS:
         parser.error(
             f"{spec.family.value} has no closed-form fingerprint; use --source numeric"
         )
-    return requested
-
-
-def _cmd_fingerprint(args, parser):
-    spec = _spec_from_args(args, parser)
-    grid = _parse_grid(args.grid, parser)
-    source = _resolve_source(spec, args.source, parser)
     rows = []
     for domain in _DOMAINS[args.domain]:
-        rows.extend(_fingerprint_rows(spec, grid, args.space, domain, source))
+        rows.extend(_fingerprint_rows(spec, args.grid, args.space, domain, args.source))
     return ["coord", "density", "domain_sign"], rows
 
 
 def _cmd_payoff(args, parser):
     spec = _spec_from_args(args, parser)
-    ps = _parse_grid(args.grid, parser)
     rows = []
-    for p in ps:
-        point = payoff.greeks(spec, float(p), args.sigma_iv)
+    for p in args.grid:
+        point = payoff.greeks(spec, p, args.sigma_iv)
         rows.append([point.p, point.value, point.delta, point.gamma, point.theta])
     return ["p", "value", "delta", "gamma", "theta"], rows
 
 
 def _cmd_analyze(args, parser):
-    if args.input is None:
-        parser.error("--input is required for analyze")
     data = series.load_series(args.input)
     if args.stat == "negative-days":
         stats = series.negative_price_stats(data)
@@ -242,44 +216,28 @@ def _parse_compare_spec(text: str, parser):
     if missing:
         parser.error(f"bad spec {text!r}: missing parameter {missing[0]!r}")
     if name == "gaussian":
-        return ("gaussian", values["mu"], values["sigma"], values["mass"])
-    return ("curve", CurveSpec(family=name, **values))
+        return values["mu"], values["sigma"], values["mass"]
+    return CurveSpec(family=name, **values)
 
 
 def _cmd_compare(args, parser):
-    if not args.specs:
-        parser.error("--specs needs at least one curve spec")
-    if args.space not in (fingerprint.TICK, fingerprint.SQRTPRICE):
-        parser.error("compare supports --space tick or sqrtprice")
-    grid = _parse_grid(args.grid, parser)
     parsed = [_parse_compare_spec(text, parser) for text in args.specs]
     columns = []
     for entry in parsed:
-        if entry[0] == "gaussian":
-            if args.space != fingerprint.TICK:
-                parser.error("gaussian comparator is defined in tick space")
-            _, mu, sigma, mass = entry
-            columns.append(
-                [
-                    fingerprint.gaussian_fingerprint(float(t), mu, sigma, mass)
-                    for t in grid
-                ]
-            )
-        else:
-            spec = entry[1]
-            source = _resolve_source(spec, "auto", parser)
+        if isinstance(entry, CurveSpec):
             rows = _fingerprint_rows(
-                spec, grid, args.space, fingerprint.POSITIVE, source
+                entry, args.grid, args.space, fingerprint.POSITIVE, "auto"
             )
             columns.append([row[1] for row in rows])
-    header = ["coord"] + list(args.specs)
-    rows = []
-    for i, t in enumerate(grid):
-        rows.append([float(t)] + [col[i] for col in columns])
-    return header, rows
+        else:
+            if args.space != fingerprint.TICK:
+                parser.error("gaussian comparator is defined in tick space")
+            columns.append([fingerprint.gaussian_fingerprint(t, *entry) for t in args.grid])
+    rows = [[t, *densities] for t, *densities in zip(args.grid, *columns)]
+    return ["coord", *args.specs], rows
 
 
-def _expand_params(argv: list[str]) -> list[str]:
+def _expand_params(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """Splice ``--params FILE`` key=value pairs in as ordinary flags.
 
     File flags are inserted where --params stood, so explicit flags given
@@ -289,7 +247,7 @@ def _expand_params(argv: list[str]) -> list[str]:
         return argv
     idx = argv.index("--params")
     if idx + 1 >= len(argv):
-        raise _UsageError("--params needs a file path")
+        parser.error("--params needs a file path")
     path = argv[idx + 1]
     injected: list[str] = []
     with open(path, encoding="utf-8") as fh:
@@ -299,7 +257,7 @@ def _expand_params(argv: list[str]) -> list[str]:
                 continue
             key, eq, val = (part.strip() for part in line.partition("="))
             if not (key and eq and val):
-                raise _UsageError(
+                parser.error(
                     f"{path}: line {lineno}: expected key = value, got {raw.strip()!r}"
                 )
             if key == "specs":
@@ -309,18 +267,25 @@ def _expand_params(argv: list[str]) -> list[str]:
     return argv[:idx] + injected + argv[idx + 2 :]
 
 
-class _UsageError(Exception):
-    pass
+def _add_common(sub, command, needs_family: bool, needs_grid: bool) -> None:
+    """Route ``sub`` to ``command`` and add the flags every subcommand takes.
 
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", choices=_FAMILY_NAMES)
+    swap and analyze accept --grid unparsed, so one --params file can serve
+    every command.
+    """
+    sub.set_defaults(run=command)
+    sub.add_argument("--family", choices=_FAMILY_NAMES, required=needs_family)
     sub.add_argument("--k", type=float, help="ccmm radius/offset")
     sub.add_argument("--alpha", type=float, help="csemm x-axis crossing")
     sub.add_argument("--beta", type=float, help="csemm y-axis crossing")
     sub.add_argument("--m", type=int, help="parabola exponent (even, default 2)")
     sub.add_argument("--L", type=float, help="cpmm liquidity parameter")
-    sub.add_argument("--grid", help="sample grid, min:max:steps (inclusive)")
+    sub.add_argument(
+        "--grid",
+        type=_parse_grid if needs_grid else str,
+        required=needs_grid,
+        help="sample grid, min:max:steps (inclusive)",
+    )
     sub.add_argument("--output", choices=("csv", "json"), default="csv")
     sub.add_argument("--output-path", help="write here instead of stdout")
     sub.add_argument(
@@ -343,19 +308,19 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_curve = subs.add_parser("curve", help="sample (x, y) points of an invariant")
-    _add_common(p_curve)
+    _add_common(p_curve, _cmd_curve, needs_family=True, needs_grid=True)
     p_curve.add_argument("--branch", choices=("lower", "upper"), default="lower")
 
     p_swap = subs.add_parser("swap", help="execute one exact-input swap")
-    _add_common(p_swap)
-    p_swap.add_argument("--x", type=float, help="current x reserve")
+    _add_common(p_swap, _cmd_swap, needs_family=True, needs_grid=False)
+    p_swap.add_argument("--x", type=float, required=True, help="current x reserve")
     p_swap.add_argument("--y", type=float, help="current y reserve (else derived)")
-    p_swap.add_argument("--token-in", choices=("x", "y"))
-    p_swap.add_argument("--amount-in", type=float)
+    p_swap.add_argument("--token-in", choices=("x", "y"), required=True)
+    p_swap.add_argument("--amount-in", type=float, required=True)
     p_swap.add_argument("--fee", type=float, default=0.0)
 
     p_fp = subs.add_parser("fingerprint", help="liquidity density samples")
-    _add_common(p_fp)
+    _add_common(p_fp, _cmd_fingerprint, needs_family=True, needs_grid=True)
     p_fp.add_argument(
         "--space", choices=("sqrtprice", "tick", "circle"), default="sqrtprice"
     )
@@ -370,12 +335,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_pay = subs.add_parser("payoff", help="LP value, delta, gamma, theta")
-    _add_common(p_pay)
+    _add_common(p_pay, _cmd_payoff, needs_family=True, needs_grid=True)
     p_pay.add_argument("--sigma-iv", type=float, default=0.0)
 
     p_an = subs.add_parser("analyze", help="price-history statistics")
-    _add_common(p_an)
-    p_an.add_argument("--input", help="CSV with header date,price")
+    _add_common(p_an, _cmd_analyze, needs_family=False, needs_grid=False)
+    p_an.add_argument("--input", required=True, help="CSV with header date,price")
     p_an.add_argument(
         "--stat",
         choices=("negative-days", "returns", "squared-returns", "hill"),
@@ -390,10 +355,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--top-k", type=int, default=50)
 
     p_cmp = subs.add_parser("compare", help="aligned fingerprints of several curves")
-    _add_common(p_cmp)
+    _add_common(p_cmp, _cmd_compare, needs_family=False, needs_grid=True)
     p_cmp.add_argument(
         "--specs",
         nargs="+",
+        required=True,
         metavar="SPEC",
         help="e.g. ccmm:k=1 csemm:alpha=3,beta=3 gaussian:mu=0,sigma=1.4,mass=2",
     )
@@ -405,39 +371,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "curve": _cmd_curve,
-    "swap": _cmd_swap,
-    "fingerprint": _cmd_fingerprint,
-    "payoff": _cmd_payoff,
-    "analyze": _cmd_analyze,
-    "compare": _cmd_compare,
-}
-
-
 def run(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    try:
-        argv = _expand_params(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    needs_grid = args.command in ("curve", "fingerprint", "payoff", "compare")
-    if needs_grid and getattr(args, "grid", None) is None:
-        print(f"usage error: --grid is required for {args.command}", file=sys.stderr)
-        return 2
-    try:
-        header, rows = _DISPATCH[args.command](args, parser)
+        args = parser.parse_args(_expand_params(argv, parser))
+        header, rows = args.run(args, parser)
         _emit(header, rows, args)
-    except SystemExit as exc:  # parser.error inside a command
+    except SystemExit as exc:  # argparse, or parser.error inside a command
         return 0 if exc.code in (0, None) else 2
     except (NegammError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

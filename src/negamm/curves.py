@@ -198,6 +198,16 @@ def _parabola_y(x: float, m: int) -> float:
 
 def cpmm_y_from_x(x: float, L: float) -> float:
     """y = L^2 / x on the positive branch of x*y = L^2."""
+    _cpmm_L(L)
+    return _cpmm_y(x, L)
+
+
+def _cpmm_L(L: float) -> None:
+    if not math.isfinite(L) or L <= 0.0:
+        raise ParameterError(f"cpmm requires L > 0, got L={L}")
+
+
+def _cpmm_y(x: float, L: float) -> float:
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"cpmm requires x > 0, got x={x}")
     return L * L / x
@@ -211,12 +221,17 @@ def cpmm_x_from_price(p: float, L: float, sign: str = "+") -> float:
     constant-product family owns such a branch even though no pool state
     can reach it.  Prices must be strictly positive either way.
     """
+    _cpmm_L(L)
     if sign not in ("+", "-"):
         raise ParameterError(f"sign must be '+' or '-', got {sign!r}")
+    mag = _cpmm_x(p, L)
+    return mag if sign == "+" else -mag
+
+
+def _cpmm_x(p: float, L: float) -> float:
     if not math.isfinite(p) or p <= 0.0:
         raise DomainError(f"cpmm price must be > 0, got p={p}")
-    mag = L / math.sqrt(p)
-    return mag if sign == "+" else -mag
+    return L / math.sqrt(p)
 
 
 def invariant_residual(spec: CurveSpec, x: float, y: float) -> float:
@@ -326,7 +341,7 @@ def _priced(spec: CurveSpec, state: PoolState) -> tuple[float, float]:
     """(price, residual) of an on-curve state; see price_of."""
     rec = _FAMILIES[spec.family]
     res = invariant_residual(spec, state.x, state.y)
-    if abs(res) > _RESIDUAL_TOL * rec.scale(spec):
+    if not abs(res) <= _RESIDUAL_TOL * rec.scale(spec):  # a NaN reserve fails too
         raise DomainError(
             f"state ({state.x}, {state.y}) is off-curve: residual {res:.3e}"
         )
@@ -566,11 +581,7 @@ def _parabola_x(p: float, m: int) -> float:
 def state_from_x(spec: CurveSpec, x: float) -> PoolState:
     """Build the on-curve trading-branch state at reserve x."""
     y = y_from_x(spec, x)
-    return _state(spec, float(x), y)
-
-
-def _state(spec: CurveSpec, x: float, y: float) -> PoolState:
-    """The state at reserves (x, y), with the arc angle where the family has one."""
+    x = float(x)
     theta = _FAMILIES[spec.family].theta
     return PoolState(x, y, theta(spec, x, y) if theta else None)
 
@@ -746,11 +757,11 @@ _FAMILIES: dict[Family, _Record] = {
         open_low=True,
         scale=lambda s: s.L * s.L,
         residual=lambda s, x, y: x * y - s.L * s.L,
-        y=lambda s, x, branch: cpmm_y_from_x(x, s.L),
+        y=lambda s, x, branch: _cpmm_y(x, s.L),
         x_of_y=lambda s, y, side: s.L * s.L / y,
         price=lambda s, x: (s.L / x) * (s.L / x),  # L^2 / x^2
         state_price=lambda s, state: state.y / state.x,
-        at_price=lambda s, p: PoolState(cpmm_x_from_price(p, s.L), s.L * math.sqrt(p)),
+        at_price=lambda s, p: PoolState(_cpmm_x(p, s.L), s.L * math.sqrt(p)),
         gamma=lambda s, p, x: -s.L / (2.0 * p * math.sqrt(p)),
         positive_greeks=True,
     ),

@@ -186,8 +186,8 @@ def numeraire_reserve(spec: CurveSpec, s: float, domain: str = POSITIVE) -> floa
 
 def central_difference(f: Callable[[float], float], x: float, step: float) -> float:
     """Symmetric two-point derivative estimate (f(x+h) - f(x-h)) / 2h."""
-    if step <= 0.0:
-        raise ParameterError(f"step must be > 0, got {step}")
+    if not math.isfinite(step) or step <= 0.0:
+        raise ParameterError(f"step must be finite and > 0, got {step}")
     return (f(x + step) - f(x - step)) / (2.0 * step)
 
 

@@ -381,3 +381,125 @@ def test_numeric_tick_fingerprint_refuses_overflowing_tick():
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("error: ") and "t=1450.0" in err
+
+
+# ------------------------------------------------------ pinned stdout bytes
+
+
+def test_bench_digest_invocations_reproduce_their_stdout(monkeypatch):
+    # bench/digests.json pins the sha256 of each invocation's stdout; its keys
+    # are argv joined by single spaces, with paths relative to the repo root.
+    import hashlib
+
+    root = Path(__file__).resolve().parent.parent
+    digests = json.loads((root / "bench" / "digests.json").read_text(encoding="utf-8"))
+    assert len(digests) >= 19
+    monkeypatch.chdir(root)
+    for key, want in digests.items():
+        code, out, err = invoke(key.split(" "))
+        assert code == 0, (key, err)
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, key
+
+
+# ------------------------------------------------ paths run only in-process
+
+
+def test_swap_given_y_matches_derived_y():
+    from negamm import ccmm_y_from_x
+
+    argv = ["swap", "--family", "ccmm", "--k", "1", "--x", "0.5",
+            "--token-in", "x", "--amount-in", "0.1"]
+    code, derived, _ = invoke(argv)
+    assert code == 0
+    code, given, _ = invoke(argv + ["--y", repr(ccmm_y_from_x(0.5, 1.0))])
+    assert code == 0
+    assert given == derived
+    code, out, err = invoke(argv + ["--y", "0.2"])  # off the circle
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
+def test_swap_nan_reserve_exits_one():
+    for reserve in (["--x", "0.5", "--y", "nan"], ["--x", "nan"]):
+        code, out, err = invoke(
+            ["swap", "--family", "ccmm", "--k", "1", *reserve,
+             "--token-in", "x", "--amount-in", "0.1"]
+        )
+        assert (code, out) == (1, ""), reserve
+        assert err.startswith("error: ")
+
+
+def test_swap_and_analyze_leave_grid_unparsed():
+    # a --params file shared with the grid commands may set grid for them too
+    code, out, _ = invoke(["swap", "--family", "ccmm", "--k", "1", "--x", "0.5",
+                           "--token-in", "x", "--amount-in", "0.1", "--grid", "abc"])
+    assert code == 0 and rows_of(out)[0][0] == "amount_out"
+    code, out, _ = invoke(["analyze", "--input", FIXTURE, "--grid", "abc"])
+    assert code == 0 and rows_of(out)[0] == ["year", "negative_days", "min_price"]
+
+
+def test_numeric_source_rows_track_the_closed_form():
+    argv = ["fingerprint", "--family", "ccmm", "--k", "1", "--space", "tick",
+            "--grid", "-2:2:9", "--domain", "both"]
+    code, analytic, _ = invoke(argv)
+    assert code == 0
+    code, numeric, _ = invoke(argv + ["--source", "numeric"])
+    assert code == 0
+    a_rows, n_rows = rows_of(analytic), rows_of(numeric)
+    assert n_rows[0] == a_rows[0] == ["coord", "density", "domain_sign"]
+    assert len(n_rows) == len(a_rows) == 19
+    for a, n in zip(a_rows[1:], n_rows[1:]):
+        assert (n[0], n[2]) == (a[0], a[2])
+        assert float(n[1]) == pytest.approx(float(a[1]), rel=1e-6)
+
+
+def test_closed_form_parabola_and_cpmm_rows():
+    from negamm.fingerprint import cpmm_liquidity, parabola_liquidity_sqrtprice
+
+    code, out, _ = invoke(["fingerprint", "--family", "parabola", "--grid", "0.5:2:4"])
+    assert code == 0
+    rows = rows_of(out)[1:]
+    assert [float(r[0]) for r in rows] == [0.5, 1.0, 1.5, 2.0]
+    assert [float(r[1]) for r in rows] == [
+        parabola_liquidity_sqrtprice(s) for s in (0.5, 1.0, 1.5, 2.0)]
+    code, out, _ = invoke(["fingerprint", "--family", "cpmm", "--L", "2",
+                           "--space", "tick", "--grid", "-1:1:3"])
+    assert code == 0
+    assert [float(r[1]) for r in rows_of(out)[1:]] == [cpmm_liquidity(2.0)] * 3
+
+
+def test_malformed_grids_exit_two():
+    base = ["curve", "--family", "ccmm", "--k", "1", "--grid"]
+    for grid in ("0:x:5", "0:1:2.5", "1:0:5", "1:1:5", "nan:1:3", "0:inf:3", "0:1"):
+        code, out, _ = invoke(base + [grid])
+        assert (code, out) == (2, ""), grid
+
+
+def test_missing_required_flags_and_parameters_exit_two():
+    for argv in (["curve", "--family", "ccmm", "--grid", "0:2:3"],
+                 ["payoff", "--family", "csemm", "--alpha", "3", "--grid", "0:1:3"],
+                 ["swap", "--family", "ccmm", "--k", "1", "--token-in", "x",
+                  "--amount-in", "0.1"],
+                 ["analyze", "--stat", "returns"],
+                 ["compare", "--grid", "0:1:3"]):
+        code, out, _ = invoke(argv)
+        assert (code, out) == (2, ""), argv
+
+
+def test_params_file_usage_errors_exit_two(tmp_path):
+    assert invoke(["curve", "--grid", "0:2:3", "--params"])[0] == 2
+    params = tmp_path / "bad.params"
+    params.write_text("family = ccmm\nk\n", encoding="utf-8")
+    code, out, _ = invoke(["curve", "--params", str(params), "--grid", "0:2:3"])
+    assert (code, out) == (2, "")
+
+
+def test_params_file_specs_key(tmp_path):
+    params = tmp_path / "cmp.params"
+    params.write_text("specs = ccmm:k=1 gaussian:mu=0,sigma=1.5,mass=2\ngrid = -1:1:3\n",
+                      encoding="utf-8")
+    code, out, _ = invoke(["compare", "--params", str(params)])
+    assert code == 0
+    assert rows_of(out)[0] == ["coord", "ccmm:k=1", "gaussian:mu=0,sigma=1.5,mass=2"]
+    assert out == invoke(["compare", "--specs", "ccmm:k=1", "gaussian:mu=0,sigma=1.5,mass=2",
+                          "--grid", "-1:1:3"])[1]

@@ -211,6 +211,16 @@ def test_diamond_limit_is_line():
         )
 
 
+def test_circle_member_upper_branch_is_the_circle():
+    # criterion 01's bound, on the plotting branch
+    for x in np.linspace(0.0, 2.0 * CIRCLE_PARAM, 1000):
+        upper = csemm_y_from_x(float(x), CIRCLE_PARAM, CIRCLE_PARAM, "upper")
+        assert upper == pytest.approx(
+            ccmm_y_from_x(float(x), CIRCLE_PARAM, "upper"), rel=0.0, abs=1e-9)
+    with pytest.raises(ParameterError):
+        csemm_y_from_x(1.0, 3.0, 4.0, "middle")
+
+
 def test_circle_recovery():
     xs = np.linspace(0.0, 2.0 * CIRCLE_PARAM, 1000)
     worst = max(
@@ -307,6 +317,20 @@ def test_cpmm_rejects_nonpositive_price():
         cpmm_x_from_price(-4.0, 2.0)
 
 
+def test_cpmm_functions_refuse_bad_L():
+    with pytest.raises(ParameterError) as spec_err:
+        CurveSpec.cpmm(-2.0)
+    for fn in (cpmm_y_from_x, cpmm_x_from_price):
+        with pytest.raises(ParameterError) as err:
+            fn(1.0, -2.0)
+        assert str(err.value) == str(spec_err.value) == "cpmm requires L > 0, got L=-2.0"
+        for L in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError, match="cpmm requires L > 0"):
+                fn(1.0, L)
+    with pytest.raises(ParameterError):
+        cpmm_x_from_price(1.0, -1.0, "-")
+
+
 def test_price_monotone_decreasing_in_x():
     # Marginal price falls strictly as the pool accumulates x, every family.
     cases = [
@@ -368,6 +392,16 @@ def test_price_of_rejects_off_curve_state():
     spec = CurveSpec.ccmm(1.0)
     with pytest.raises(DomainError):
         price_of(spec, PoolState(x=0.5, y=0.9))  # nowhere near the circle
+
+
+@pytest.mark.parametrize("spec", [CurveSpec.ccmm(1.0), CurveSpec.csemm(3.0, 4.0),
+                                  CurveSpec.parabola(2), CurveSpec.cpmm(2.0)],
+                         ids=lambda spec: spec.family.value)
+def test_price_of_rejects_nan_reserves(spec):
+    state = state_from_x(spec, 0.5)
+    for bad in (PoolState(math.nan, state.y), PoolState(state.x, math.nan)):
+        with pytest.raises(DomainError, match="off-curve"):
+            price_of(spec, bad)
 
 
 def test_y_from_x_dispatch():

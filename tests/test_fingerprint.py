@@ -145,6 +145,12 @@ def test_central_difference_on_knowns():
     )
 
 
+def test_central_difference_refuses_bad_steps():
+    for step in (0.0, -1e-6, math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError):
+            central_difference(lambda x: x, 1.0, step)
+
+
 def test_numeric_matches_analytic_ccmm():
     spec = CurveSpec.ccmm(1.0)
     grid = list(np.linspace(0.1, 10.0, 120))

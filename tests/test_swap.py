@@ -366,3 +366,16 @@ def test_result_residual_and_price_are_those_of_the_new_state():
                 new, res = execute_swap(spec, state, req)
                 assert res.residual_after == invariant_residual(spec, new.x, new.y)
                 assert res.price_after == price_of(spec, new)
+
+
+def test_cpmm_hot_paths_skip_the_public_checks(monkeypatch):
+    from negamm import curves
+
+    spec = CurveSpec.cpmm(1.0)
+    state = state_from_x(spec, 0.5)
+    calls = [_count_calls(monkeypatch, curves, name)
+             for name in ("cpmm_y_from_x", "cpmm_x_from_price")]
+    for req in BOTH_TOKENS:
+        execute_swap(spec, state, req)
+    state_from_price(spec, 0.7)
+    assert [c[0] for c in calls] == [0, 0]
