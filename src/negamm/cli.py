@@ -238,33 +238,37 @@ def _cmd_compare(args, parser):
 
 
 def _expand_params(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    """Splice ``--params FILE`` key=value pairs in as ordinary flags.
+    """Splice each ``--params FILE`` or ``--params=FILE`` in as ordinary flags.
 
-    File flags are inserted where --params stood, so explicit flags given
-    later on the command line win (argparse keeps the last occurrence).
+    A file's key=value pairs go where its --params stood, in order, so flags
+    given later win (argparse keeps the last occurrence).  Flags read from a
+    file are not expanded again.
     """
-    if "--params" not in argv:
-        return argv
-    idx = argv.index("--params")
-    if idx + 1 >= len(argv):
-        parser.error("--params needs a file path")
-    path = argv[idx + 1]
-    injected: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, val = (part.strip() for part in line.partition("="))
-            if not (key and eq and val):
-                parser.error(
-                    f"{path}: line {lineno}: expected key = value, got {raw.strip()!r}"
-                )
-            if key == "specs":
-                injected.extend(["--specs", *val.split()])
-            else:
-                injected.extend([f"--{key}", val])
-    return argv[:idx] + injected + argv[idx + 2 :]
+    expanded: list[str] = []
+    args = iter(argv)
+    for arg in args:
+        flag, eq, path = arg.partition("=")
+        if flag != "--params":
+            expanded.append(arg)
+            continue
+        path = path if eq else next(args, "")
+        if not path:
+            parser.error("--params needs a file path")
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                key, eq, val = (part.strip() for part in line.partition("="))
+                if not (key and eq and val):
+                    parser.error(
+                        f"{path}: line {lineno}: expected key = value, got {raw.strip()!r}"
+                    )
+                if key == "specs":
+                    expanded.extend(["--specs", *val.split()])
+                else:
+                    expanded.extend([f"--{key}", val])
+    return expanded
 
 
 def _add_common(sub, command, needs_family: bool, needs_grid: bool) -> None:
@@ -376,6 +380,8 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_expand_params(argv, parser))
+        if args.params is not None:  # an abbreviation, or --params inside a file
+            parser.error(f"--params {args.params!r} was not read; spell out --params FILE")
         header, rows = args.run(args, parser)
         _emit(header, rows, args)
     except SystemExit as exc:  # argparse, or parser.error inside a command

@@ -87,7 +87,8 @@ class CurveSpec:
 
     @classmethod
     def parabola(cls, m: int = 2) -> "CurveSpec":
-        return cls(family=Family.PARABOLA, m=int(m))
+        # A non-integral m reaches the check as given, which refuses it.
+        return cls(family=Family.PARABOLA, m=int(m) if m == int(m) else m)
 
     @classmethod
     def cpmm(cls, L: float) -> "CurveSpec":
@@ -140,12 +141,11 @@ def ccmm_y_from_x(x: float, k: float, branch: str = "lower") -> float:
     The lower branch y = k - sqrt(x*(2k-x)) is the trading arc; the upper
     branch is exposed for plotting only.  Domain: x in [0, 2k].
     """
-    if not math.isfinite(k) or k <= 0.0:
-        raise ParameterError(f"ccmm requires k > 0, got k={k}")
-    return _ccmm_y(x, k, branch)
+    return y_from_x(CurveSpec.ccmm(k), x, branch)
 
 
-def _ccmm_y(x: float, k: float, branch: str) -> float:
+def _ccmm_y(spec: CurveSpec, x: float, branch: str) -> float:
+    k = spec.k
     if not math.isfinite(x) or x < 0.0 or x > 2.0 * k:
         raise DomainError(f"ccmm x must lie in [0, {2.0 * k}], got x={x}")
     root = math.sqrt(x * (2.0 * k - x))
@@ -163,11 +163,12 @@ def csemm_y_from_x(x: float, alpha: float, beta: float, branch: str = "lower") -
     spanning y in [0, beta] for x in [0, 2*alpha].  Powers are evaluated in
     log space so the endpoints x=0, x=alpha and x=2*alpha come out exact.
     """
-    return _csemm_y(x, alpha, beta, csemm_exponent(alpha), csemm_exponent(beta), branch)
+    return y_from_x(CurveSpec.csemm(alpha, beta), x, branch)
 
 
-def _csemm_y(x: float, a: float, b: float, u_a: float, u_b: float, branch: str) -> float:
-    """csemm_y_from_x given u_a = u(a) and u_b = u(b)."""
+def _csemm_y(spec: CurveSpec, x: float, branch: str) -> float:
+    a, b = spec.alpha, spec.beta
+    u_a, u_b = spec._consts
     if not math.isfinite(x) or x < 0.0 or x > 2.0 * a:
         raise DomainError(f"csemm x must lie in [0, {2.0 * a}], got x={x}")
     inner = _csemm_inner(x, a, u_a)
@@ -186,31 +187,24 @@ def _csemm_y(x: float, a: float, b: float, u_a: float, u_b: float, branch: str) 
 
 def parabola_y_from_x(x: float, m: int = 2) -> float:
     """y = (1 - sqrt(x))^m for x >= 0 and even m >= 2."""
-    _parabola_m(int(m))
-    return _parabola_y(x, m)
+    return y_from_x(CurveSpec.parabola(m), x)
 
 
-def _parabola_y(x: float, m: int) -> float:
+def _parabola_y(spec: CurveSpec, x: float, branch: str) -> float:
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"parabola requires x >= 0, got x={x}")
-    return (1.0 - math.sqrt(x)) ** m
+    return (1.0 - math.sqrt(x)) ** spec.m
 
 
 def cpmm_y_from_x(x: float, L: float) -> float:
     """y = L^2 / x on the positive branch of x*y = L^2."""
-    _cpmm_L(L)
-    return _cpmm_y(x, L)
+    return y_from_x(CurveSpec.cpmm(L), x)
 
 
-def _cpmm_L(L: float) -> None:
-    if not math.isfinite(L) or L <= 0.0:
-        raise ParameterError(f"cpmm requires L > 0, got L={L}")
-
-
-def _cpmm_y(x: float, L: float) -> float:
+def _cpmm_y(spec: CurveSpec, x: float, branch: str) -> float:
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"cpmm requires x > 0, got x={x}")
-    return L * L / x
+    return spec.L * spec.L / x
 
 
 def cpmm_x_from_price(p: float, L: float, sign: str = "+") -> float:
@@ -221,10 +215,10 @@ def cpmm_x_from_price(p: float, L: float, sign: str = "+") -> float:
     constant-product family owns such a branch even though no pool state
     can reach it.  Prices must be strictly positive either way.
     """
-    _cpmm_L(L)
+    spec = CurveSpec.cpmm(L)
     if sign not in ("+", "-"):
         raise ParameterError(f"sign must be '+' or '-', got {sign!r}")
-    mag = _cpmm_x(p, L)
+    mag = _cpmm_x(p, spec.L)
     return mag if sign == "+" else -mag
 
 
@@ -332,9 +326,15 @@ def price_of(spec: CurveSpec, state: PoolState) -> float:
 
     Positive left of the fold, exactly zero at it, negative beyond it;
     +/-inf at the arc endpoints.  Raises DomainError when the state's
-    residual exceeds 1e-9 times the curve scale.
+    residual exceeds 1e-9 times the curve scale, or when a ccmm or csemm
+    state lies on the upper (plotting) branch: y above the trading branch
+    away from the endpoints, where both branches meet and p is infinite.
     """
-    return _priced(spec, state)[0]
+    price = _priced(spec, state)[0]
+    rec = _FAMILIES[spec.family]
+    if rec.upper_branch and state.y > rec.y_bounds(spec, "left")[1] and math.isfinite(price):
+        raise DomainError(f"state ({state.x}, {state.y}) is on the upper (plotting) branch")
+    return price
 
 
 def _priced(spec: CurveSpec, state: PoolState) -> tuple[float, float]:
@@ -564,8 +564,7 @@ def parabola_x_from_price(p: float, m: int = 2) -> float:
     x -> inf.  Only m=2 admits this closed inversion; other m values are
     plot-only.
     """
-    _parabola_m(int(m))
-    return _parabola_x(p, m)
+    return _parabola_x(p, CurveSpec.parabola(m).m)
 
 
 def _parabola_x(p: float, m: int) -> float:
@@ -605,7 +604,7 @@ class _Record:
     ``params`` maps the CurveSpec fields used to their type, in constructor
     order.  Branch reserves lie in [lo, hi] of ``x_bounds`` / ``y_bounds``
     (default [0, inf)), or (lo, hi] when ``open_low``; ``gamma(spec, p, x)``
-    inverts p when x is None.  ``derive`` returns the spec's derived constants,
+    gets the x quoting p.  ``derive`` returns the spec's derived constants,
     stored on it as ``_consts`` when it is built.  Entries call private kernels,
     which trust the built spec, or name public functions at call time and never
     store them, so a patched or wrapped module attribute is what runs.
@@ -682,7 +681,7 @@ def _csemm_x_of_y(spec: CurveSpec, y: float, side: str) -> float:
     return a * (2.0 + math.expm1(math.log(inner) / u_a))
 
 
-def _csemm_gamma(spec: CurveSpec, p: float, x: float | None) -> float:
+def _csemm_gamma(spec: CurveSpec, p: float, x: float) -> float:
     """dx/dp at reserve x on the super-ellipse, by implicit differentiation.
 
     With F(x, y) = |x/a-1|^ua + |y/b-1|^ub - 1 and the price written as
@@ -696,11 +695,10 @@ def _csemm_gamma(spec: CurveSpec, p: float, x: float | None) -> float:
     keeps it finite.  The u(a)=2 test carries a 1e-9 band: the circle
     parameter alpha = 2+sqrt(2) only lands near 2 in floats, and within
     any representable neighbourhood of the fold the near-2 exponent is
-    indistinguishable from 2 exactly.
+    indistinguishable from 2 exactly.  Where dp/dx is zero off the fold (the
+    straight sides of the alpha = beta = 2 diamond) gamma is -inf as well.
     """
     a, b = spec.alpha, spec.beta
-    if x is None:
-        x = csemm_x_from_price(p, a, b)
     u_a, u_b = spec._consts
     inner = _csemm_inner(x, a, u_a)
     if x == a:
@@ -719,7 +717,7 @@ def _csemm_gamma(spec: CurveSpec, p: float, x: float | None) -> float:
     fxp = (u_a * (u_a - 1.0) / (a * a)) * math.exp((u_a - 2.0) * lgx)
     fyp = (u_b * (u_b - 1.0) / (b * b)) * math.exp((u_b - 2.0) * lgy)
     dpdx = fxp / fy + fx * fx * fyp / (fy * fy * fy)
-    return 1.0 / dpdx
+    return 1.0 / dpdx if dpdx else -math.inf
 
 
 def _parabola_m(m: int | None) -> None:
@@ -739,12 +737,6 @@ def _parabola_price(spec: CurveSpec, x: float) -> float:
     return spec.m * (1.0 - root) ** (spec.m - 1) / (2.0 * root)
 
 
-def _parabola_gamma(spec: CurveSpec, p: float, x: float | None) -> float:
-    if spec.m != 2:
-        raise ParameterError(f"greeks are defined for the m=2 parabola, got m={spec.m}")
-    return -2.0 / (1.0 + p) ** 3
-
-
 def _parabola_check_fingerprint(spec: CurveSpec) -> None:
     if spec.m != 2:
         raise ParameterError("fingerprints are defined for the m=2 parabola only")
@@ -757,13 +749,12 @@ _FAMILIES: dict[Family, _Record] = {
         open_low=True,
         scale=lambda s: s.L * s.L,
         residual=lambda s, x, y: x * y - s.L * s.L,
-        y=lambda s, x, branch: _cpmm_y(x, s.L),
+        y=_cpmm_y,
         x_of_y=lambda s, y, side: s.L * s.L / y,
         price=lambda s, x: (s.L / x) * (s.L / x),  # L^2 / x^2
         state_price=lambda s, state: state.y / state.x,
         at_price=lambda s, p: PoolState(_cpmm_x(p, s.L), s.L * math.sqrt(p)),
         gamma=lambda s, p, x: -s.L / (2.0 * p * math.sqrt(p)),
-        positive_greeks=True,
     ),
     Family.CCMM: _Record(
         params={"k": float},
@@ -774,7 +765,7 @@ _FAMILIES: dict[Family, _Record] = {
         scale=lambda s: s.k,
         residual=lambda s, x, y: (x - s.k) ** 2 + (y - s.k) ** 2 - s.k * s.k,
         upper_branch=True,
-        y=lambda s, x, branch: _ccmm_y(x, s.k, branch),
+        y=_ccmm_y,
         x_of_y=_ccmm_x_of_y,
         price=_ccmm_price,
         at_price=_ccmm_at_price,
@@ -789,7 +780,7 @@ _FAMILIES: dict[Family, _Record] = {
         fold=lambda s: s.alpha,
         residual=_csemm_residual,
         upper_branch=True,
-        y=lambda s, x, branch: _csemm_y(x, s.alpha, s.beta, *s._consts, branch),
+        y=_csemm_y,
         x_of_y=_csemm_x_of_y,
         price=lambda s, x: _csemm_price(x, s.alpha, s.beta, *s._consts),
         at_price=lambda s, p: state_from_x(s, csemm_x_from_price(p, s.alpha, s.beta)),
@@ -803,11 +794,11 @@ _FAMILIES: dict[Family, _Record] = {
         y_bounds=lambda s, side: (0.0, 1.0 if side == "left" else math.inf),
         fold=lambda s: 1.0,
         residual=lambda s, x, y: y - (1.0 - math.sqrt(max(x, 0.0))) ** s.m,
-        y=lambda s, x, branch: _parabola_y(x, s.m),
+        y=_parabola_y,
         x_of_y=_parabola_x_of_y,
         price=_parabola_price,
         at_price=lambda s, p: state_from_x(s, _parabola_x(p, s.m)),
-        gamma=_parabola_gamma,
+        gamma=lambda s, p, x: -2.0 / (1.0 + p) ** 3,
         positive_greeks=True,
         check_fingerprint=_parabola_check_fingerprint,
     ),

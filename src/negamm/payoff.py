@@ -35,26 +35,14 @@ class GreeksPoint:
     theta: float
 
 
-def _check_price_domain(spec: CurveSpec, p: float) -> None:
-    if not math.isfinite(p):
-        raise DomainError(f"price must be finite, got p={p}")
-    if curves._FAMILIES[spec.family].positive_greeks and p <= 0.0:
-        raise DomainError(
-            f"{spec.family.value} payoff is defined for p > 0, got p={p}"
-        )
-
-
 def lp_value(spec: CurveSpec, p: float) -> float:
     """Pool value V(p) = p*x(p) + y(p) in token-Y units."""
-    _check_price_domain(spec, p)
-    state = curves.state_from_price(spec, p)
-    return p * state.x + state.y
+    return greeks(spec, p).value
 
 
 def delta(spec: CurveSpec, p: float) -> float:
     """dV/dp; equals the token-X reserve by the envelope property."""
-    _check_price_domain(spec, p)
-    return curves.state_from_price(spec, p).x
+    return greeks(spec, p).delta
 
 
 def gamma(spec: CurveSpec, p: float) -> float:
@@ -66,22 +54,22 @@ def gamma(spec: CurveSpec, p: float) -> float:
     partial derivatives of the invariant.  cpmm: -L / (2 p^(3/2)).
     parabola (m=2): -2 / (1+p)^3.
     """
-    _check_price_domain(spec, p)
-    return curves._FAMILIES[spec.family].gamma(spec, p, None)
+    return greeks(spec, p).gamma
 
 
 def theta(spec: CurveSpec, p: float, sigma_iv: float) -> float:
     """Time decay -(sigma_iv^2 / 2) * gamma(p), arithmetic-vol units."""
-    if not math.isfinite(sigma_iv) or sigma_iv < 0.0:
-        raise ParameterError(f"sigma_iv must be >= 0, got {sigma_iv}")
-    return -0.5 * sigma_iv * sigma_iv * gamma(spec, p)
+    return greeks(spec, p, sigma_iv).theta
 
 
 def greeks(spec: CurveSpec, p: float, sigma_iv: float = 0.0) -> GreeksPoint:
     """Value, delta, gamma and theta bundled for one price point."""
     if not math.isfinite(sigma_iv) or sigma_iv < 0.0:
         raise ParameterError(f"sigma_iv must be >= 0, got {sigma_iv}")
-    _check_price_domain(spec, p)
+    if not math.isfinite(p):
+        raise DomainError(f"price must be finite, got p={p}")
+    if curves._FAMILIES[spec.family].positive_greeks and p <= 0.0:
+        raise DomainError(f"{spec.family.value} payoff is defined for p > 0, got p={p}")
     state = curves.state_from_price(spec, p)
-    g = curves._FAMILIES[spec.family].gamma(spec, p, state.x)  # reuses the inverted x
+    g = curves._FAMILIES[spec.family].gamma(spec, p, state.x)
     return GreeksPoint(p, p * state.x + state.y, state.x, g, -0.5 * sigma_iv * sigma_iv * g)

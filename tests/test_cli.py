@@ -503,3 +503,54 @@ def test_params_file_specs_key(tmp_path):
     assert rows_of(out)[0] == ["coord", "ccmm:k=1", "gaussian:mu=0,sigma=1.5,mass=2"]
     assert out == invoke(["compare", "--specs", "ccmm:k=1", "gaussian:mu=0,sigma=1.5,mass=2",
                           "--grid", "-1:1:3"])[1]
+
+
+def test_swap_refuses_an_upper_branch_state():
+    code, out, err = invoke(["swap", "--family", "ccmm", "--k", "1", "--x", "0.5",
+                             "--y", "1.8660254037844386", "--token-in", "x",
+                             "--amount-in", "0.01"])
+    assert (code, out) == (1, "")
+    assert "upper" in err
+
+
+def _pool_params(tmp_path):
+    params = tmp_path / "pool.params"
+    params.write_text("family = ccmm\nk = 1\n", encoding="utf-8")
+    return params
+
+
+def test_params_equals_spelling_is_read(tmp_path):
+    params = _pool_params(tmp_path)
+    code, out, _ = invoke(["curve", f"--params={params}", "--grid", "0:2:3"])
+    assert code == 0
+    assert out == invoke(["curve", "--params", str(params), "--grid", "0:2:3"])[1]
+
+
+def test_every_params_flag_is_read_in_order(tmp_path):
+    first = _pool_params(tmp_path)
+    second = tmp_path / "wide.params"
+    second.write_text("k = 2\n", encoding="utf-8")
+    code, out, _ = invoke(["curve", "--params", str(first), "--params", str(second),
+                           "--grid", "0:4:5"])
+    assert code == 0
+    assert [float(v) for v in rows_of(out)[3]] == [2.0, 0.0]  # the fold of k = 2
+    code, _, err = invoke(["curve", "--params", str(first),
+                           "--params", str(tmp_path / "missing.params"), "--grid", "0:2:3"])
+    assert code == 1
+    assert "missing.params" in err
+
+
+def test_unexpanded_params_spellings_exit_two(tmp_path):
+    params = _pool_params(tmp_path)
+    nested = tmp_path / "nested.params"
+    nested.write_text(f"params = {params}\n", encoding="utf-8")
+    base = ["curve", "--family", "ccmm", "--k", "1", "--grid", "0:2:3"]
+    for extra in (["--param", str(params)], ["--params", str(nested)], ["--params="]):
+        code, out, _ = invoke(base + extra)
+        assert (code, out) == (2, ""), extra
+
+
+def test_malformed_compare_specs_exit_two():
+    for spec in ("frob:k=1", "ccmm:k", "ccmm:k=abc", "csemm:alpha=3"):
+        code, out, _ = invoke(["compare", "--specs", spec, "--grid", "0:1:3"])
+        assert (code, out) == (2, ""), spec

@@ -456,3 +456,60 @@ def test_curvespec_value_semantics_are_its_fields():
     assert hash(spec) == hash((Family.CSEMM, None, 3.0, 4.0, None, None))
     assert spec != CurveSpec.csemm(3.0, 5.0)
     assert CurveSpec.parabola() == CurveSpec(Family.PARABOLA, m=2)
+
+
+def test_price_of_refuses_upper_branch_states():
+    for spec in (CurveSpec.ccmm(1.0), CurveSpec.csemm(3.0, 4.0)):
+        fold = fold_x(spec)
+        top = y_from_x(spec, 0.0)
+        for x in (0.3 * fold, fold, 1.7 * fold):
+            upper = PoolState(x, y_from_x(spec, x, "upper"))
+            with pytest.raises(DomainError, match="upper"):
+                price_of(spec, upper)
+        # Both branches meet at the endpoints, which stay trading states.
+        assert price_of(spec, PoolState(0.0, top)) == math.inf
+        assert price_of(spec, PoolState(2.0 * fold, top)) == -math.inf
+
+
+def test_parabola_refuses_non_integral_m():
+    assert CurveSpec.parabola(2.0).m == 2
+    assert parabola_y_from_x(0.25, 2.0) == parabola_y_from_x(0.25, 2)
+    for call in (lambda: CurveSpec.parabola(2.9),
+                 lambda: parabola_y_from_x(0.25, 2.5),
+                 lambda: parabola_x_from_price(0.5, 2.5)):
+        with pytest.raises(ParameterError):
+            call()
+
+
+def test_branch_and_side_arguments_are_checked():
+    for spec in (CurveSpec.ccmm(1.0), CurveSpec.csemm(3.0, 4.0)):
+        with pytest.raises(ParameterError):
+            y_from_x(spec, 0.5, "middle")
+    with pytest.raises(ParameterError):
+        y_from_x(CurveSpec.cpmm(1.0), 0.5, "upper")
+    with pytest.raises(ParameterError):
+        x_from_y_on_side(CurveSpec.ccmm(1.0), 0.5, "middle")
+
+
+def test_price_of_refuses_a_near_curve_state_past_the_branch():
+    # Within the residual tolerance of the circle, but x lies beyond 2k.
+    with pytest.raises(DomainError):
+        price_of(CurveSpec.ccmm(1.0), PoolState(2.0000000001, 1.0))
+
+
+def test_non_finite_price_arguments_are_refused():
+    with pytest.raises(ParameterError):
+        ccmm_angle_from_price(math.nan)
+    with pytest.raises(ParameterError):
+        csemm_x_from_price(math.inf, 3.0, 4.0)
+
+
+def test_csemm_bottom_of_the_curve_is_the_fold_on_both_sides():
+    spec = CurveSpec.csemm(3.0, 4.0)
+    for side in ("left", "right"):
+        assert x_from_y_on_side(spec, 0.0, side) == 3.0
+
+
+def test_price_at_zero_reserve_is_plus_infinity():
+    for spec in (CurveSpec.csemm(3.0, 4.0), CurveSpec.parabola(2)):
+        assert price_of(spec, state_from_x(spec, 0.0)) == math.inf

@@ -299,3 +299,29 @@ def test_tail_index_needs_distinct_coordinates():
     samples = [FingerprintSample(coord=2.0, density=1.0 + i) for i in range(12)]
     with pytest.raises(InsufficientDataError):
         tail_index(samples)
+
+
+def test_bad_space_and_domain_are_refused():
+    with pytest.raises(ParameterError):
+        numeric_fingerprint(CurveSpec.ccmm(1.0), [0.5], "angle")
+    with pytest.raises(ParameterError):
+        parabola_liquidity_sqrtprice(0.5, "sideways")
+
+
+def test_non_finite_numeric_tick_is_refused():
+    for t in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            numeric_fingerprint(CurveSpec.ccmm(1.0), [t], TICK)
+
+
+def test_nan_circle_coordinates_are_refused():
+    with pytest.raises(ParameterError):
+        circle_map(math.nan)
+    with pytest.raises(ParameterError):
+        circle_angle_of_price(math.nan)
+
+
+def test_gaussian_mass_must_be_positive():
+    for mass in (0.0, -1.0):
+        with pytest.raises(ParameterError):
+            gaussian_fingerprint(0.0, 0.0, 1.0, mass)

@@ -207,3 +207,14 @@ def test_csemm_greeks_computes_exponents_only_in_the_inversion(monkeypatch):
             calls[0] = 0
             greeks(spec, float(p), 0.8)
             assert calls[0] == 2, (spec, p)
+
+
+def test_diamond_sides_have_unbounded_gamma():
+    # On the alpha = beta = 2 diamond every reserve of a side quotes |p| = 1.
+    spec = CurveSpec.csemm(2.0, 2.0)
+    for p in (-1.0, 1.0):
+        point = greeks(spec, p, 0.8)
+        assert point.gamma == -math.inf
+        assert point.theta == math.inf
+        state = state_from_price(spec, p)
+        assert (point.value, point.delta) == (p * state.x + state.y, state.x)

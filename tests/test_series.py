@@ -230,3 +230,8 @@ def test_hill_accepts_what_float_accepts():
     assert hill_tail_index([str(v) for v in values], top_k=3) == hill_tail_index(
         values, top_k=3
     )
+
+
+def test_negative_price_stats_refuses_an_empty_series():
+    with pytest.raises(SeriesError):
+        negative_price_stats(PriceSeries((), ()))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from negamm import (
     CurveSpec,
+    DomainError,
     DomainExceeded,
     InvalidFee,
     ParameterError,
@@ -379,3 +380,11 @@ def test_cpmm_hot_paths_skip_the_public_checks(monkeypatch):
         execute_swap(spec, state, req)
     state_from_price(spec, 0.7)
     assert [c[0] for c in calls] == [0, 0]
+
+
+def test_upper_branch_state_is_not_traded():
+    spec = CurveSpec.ccmm(1.0)
+    state = PoolState(0.5, 1.0 + math.sqrt(0.75))  # the upper branch above x = 0.5
+    for req in BOTH_TOKENS:
+        with pytest.raises(DomainError, match="upper"):
+            execute_swap(spec, state, req)
