@@ -135,10 +135,9 @@ def _fingerprint_rows(spec, grid, space, domain, source):
     The closed form is used where the family has one, unless ``source`` is numeric.
     """
     eval_space = fingerprint.TICK if space == "circle" else space
-    density = fingerprint._CLOSED_FORMS.get(spec.family)
-    if density is not None and source != "numeric":
-        curves._FAMILIES[spec.family].check_fingerprint(spec)
-        points = [(t, density(spec, t, eval_space, domain)) for t in grid]
+    if spec.family in fingerprint._CLOSED_FORMS and source != "numeric":
+        sgn = fingerprint._domain_sign(domain)
+        points = [(t, fingerprint._density(spec, t, eval_space, sgn)) for t in grid]
     else:
         samples = fingerprint.numeric_fingerprint(spec, grid, eval_space, domain)
         points = [(smp.coord, smp.density) for smp in samples]

@@ -628,7 +628,6 @@ class _Record:
     scale: Callable = lambda spec: 1.0
     state_price: Callable = lambda spec, state: _price_from_x(spec, state.x)
     theta: Callable | None = None  # arc angle of a state, ccmm only
-    check_fingerprint: Callable = lambda spec: None
     derive: Callable = lambda spec: None
 
 
@@ -657,9 +656,12 @@ def _ccmm_price(spec: CurveSpec, x: float) -> float:
 
 
 def _ccmm_at_price(spec: CurveSpec, p: float) -> PoolState:
+    if not math.isfinite(p):
+        raise DomainError(f"price must be finite, got p={p}")
     theta = ccmm_angle_from_price(p)
     k = spec.k
-    return PoolState(k * (1.0 + math.cos(theta)), k * (1.0 + math.sin(theta)), theta)
+    # theta rounds to fl(pi) for p >~ 1.6e16, whose sine is +1.2e-16; the arc has y <= k.
+    return PoolState(k * (1.0 + math.cos(theta)), k * (1.0 + min(math.sin(theta), 0.0)), theta)
 
 
 def _csemm_residual(spec: CurveSpec, x: float, y: float) -> float:
@@ -737,11 +739,6 @@ def _parabola_price(spec: CurveSpec, x: float) -> float:
     return spec.m * (1.0 - root) ** (spec.m - 1) / (2.0 * root)
 
 
-def _parabola_check_fingerprint(spec: CurveSpec) -> None:
-    if spec.m != 2:
-        raise ParameterError("fingerprints are defined for the m=2 parabola only")
-
-
 _FAMILIES: dict[Family, _Record] = {
     Family.CPMM: _Record(
         params={"L": float},
@@ -800,6 +797,5 @@ _FAMILIES: dict[Family, _Record] = {
         at_price=lambda s, p: state_from_x(s, _parabola_x(p, s.m)),
         gamma=lambda s, p, x: -2.0 / (1.0 + p) ** 3,
         positive_greeks=True,
-        check_fingerprint=_parabola_check_fingerprint,
     ),
 }

@@ -14,9 +14,11 @@ is the derivative taken along the signed axis -s, which is what makes the
 region read as negative liquidity.  Samples are tagged with their domain
 so plots can keep the two regions apart.
 
-Closed forms are provided for the circular and parabolic (m=2) curves;
-``numeric_fingerprint`` differentiates any family's reserve function
-directly and acts as the reference oracle.
+Closed forms exist for the circular, parabolic (m=2) and constant-product
+curves; ``numeric_fingerprint`` differentiates any family's reserve function
+directly and acts as the reference oracle.  Both paths read a coordinate
+through one reader, ``_sqrt_price``, and the closed forms are one density
+per family in sqrt-price coordinates, kept in ``_CLOSED_FORMS``.
 """
 
 from __future__ import annotations
@@ -66,6 +68,69 @@ def _domain_sign(domain: str) -> float:
     raise ParameterError(f"domain must be {POSITIVE!r} or {NEGATIVE!r}, got {domain!r}")
 
 
+def _sqrt_price(coord: float, space: str) -> float:
+    """The sqrt-price magnitude s read off a sqrtprice or tick coordinate.
+
+    A sqrt-price coordinate must be finite and > 0.  A tick t must be finite
+    and reads as s = e^(t/2), which is 0.0 or inf past the float range.
+    """
+    if space != TICK:
+        if not math.isfinite(coord) or coord <= 0.0:
+            raise DomainError(f"sqrt-price coordinate must be > 0, got s={coord}")
+        return coord
+    if not math.isfinite(coord):
+        raise DomainError(f"tick must be finite, got t={coord}")
+    try:
+        return math.exp(0.5 * coord)
+    except OverflowError:
+        return math.inf
+
+
+def _ccmm_density(spec: CurveSpec, s: float, sgn: float) -> float:
+    s2 = s * s
+    s4 = s2 * s2
+    if not math.isfinite(s4):
+        return sgn * 0.0
+    return sgn * 2.0 * spec.k * s2 * s / ((1.0 + s4) * math.sqrt(1.0 + s4))
+
+
+def _parabola_density(spec: CurveSpec, s: float, sgn: float) -> float:
+    if spec.m != 2:
+        raise ParameterError("fingerprints are defined for the m=2 parabola only")
+    s2 = s * s
+    if sgn < 0.0:
+        if s >= 1.0:
+            raise DomainError(
+                f"parabola negative-domain coordinate must satisfy 0 < s < 1 (tick t < 0), "
+                f"got s={s}"
+            )
+        return -4.0 * s2 * s / (1.0 - s2) ** 3
+    if not math.isfinite(s2 * s2):
+        return 0.0
+    try:
+        return 4.0 * s2 * s / (1.0 + s2) ** 3
+    except OverflowError:  # (1+s^2)^3 past s ~ 7.5e51, where the density is < 1e-154
+        return 0.0
+
+
+# Closed-form density by family, (spec, s, sgn) -> float, at sqrt-price
+# magnitude s (0.0 or inf where a tick leaves the float range) and domain sign
+# sgn; csemm has none.
+_CLOSED_FORMS = {
+    Family.CCMM: _ccmm_density,
+    Family.PARABOLA: _parabola_density,
+    # The '-' rows are the mirrored negative-liquidity branch of x*y = L^2;
+    # no pool state reaches them, they exist for plots.
+    Family.CPMM: lambda spec, s, sgn: sgn * spec.L,
+}
+_PARABOLA = CurveSpec.parabola()  # m = 2, the one parabola with a fingerprint
+
+
+def _density(spec: CurveSpec, coord: float, space: str, sgn: float) -> float:
+    """Closed-form density of ``spec`` at a sqrtprice or tick coordinate."""
+    return _CLOSED_FORMS[spec.family](spec, _sqrt_price(coord, space), sgn)
+
+
 def ccmm_liquidity_sqrtprice(s: float, k: float, sign: str = "+") -> float:
     """Circular-curve fingerprint L(s) = +/- 2k s^3 / (1+s^4)^(3/2).
 
@@ -73,17 +138,7 @@ def ccmm_liquidity_sqrtprice(s: float, k: float, sign: str = "+") -> float:
     domain.  Peaks at s=1 (price 1) with value k/sqrt(2); both tails decay
     like a Pareto density with tail index 3.
     """
-    sgn = _check_sign(sign)
-    if not math.isfinite(k) or k <= 0.0:
-        raise ParameterError(f"ccmm requires k > 0, got k={k}")
-    if not math.isfinite(s) or s <= 0.0:
-        raise DomainError(f"sqrt-price coordinate must be > 0, got s={s}")
-    s2 = s * s
-    s4 = s2 * s2
-    if not math.isfinite(s4):
-        return sgn * 0.0
-    denom = (1.0 + s4) * math.sqrt(1.0 + s4)
-    return sgn * 2.0 * k * s2 * s / denom
+    return _density(CurveSpec.ccmm(k), s, SQRTPRICE, _check_sign(sign))
 
 
 def ccmm_liquidity_tick(t: float, k: float, sign: str = "+") -> float:
@@ -91,18 +146,7 @@ def ccmm_liquidity_tick(t: float, k: float, sign: str = "+") -> float:
 
     Identical to the sqrt-price form read at s = e^{t/2}.
     """
-    sgn = _check_sign(sign)
-    if not math.isfinite(k) or k <= 0.0:
-        raise ParameterError(f"ccmm requires k > 0, got k={k}")
-    if not math.isfinite(t):
-        raise DomainError(f"tick must be finite, got t={t}")
-    try:
-        s = math.exp(0.5 * t)
-    except OverflowError:
-        return sgn * 0.0
-    if s == 0.0:
-        return sgn * 0.0
-    return ccmm_liquidity_sqrtprice(s, k, sign)
+    return _density(CurveSpec.ccmm(k), t, TICK, _check_sign(sign))
 
 
 def parabola_liquidity_sqrtprice(s: float, domain: str = POSITIVE) -> float:
@@ -114,20 +158,7 @@ def parabola_liquidity_sqrtprice(s: float, domain: str = POSITIVE) -> float:
     magnitude diverges as the price approaches the zero bound (s -> 1
     marks p -> -1, past which the curve quotes no states).
     """
-    if not math.isfinite(s) or s <= 0.0:
-        raise DomainError(f"sqrt-price coordinate must be > 0, got s={s}")
-    s2 = s * s
-    if domain == POSITIVE:
-        if not math.isfinite(s2 * s2):
-            return 0.0
-        return 4.0 * s2 * s / (1.0 + s2) ** 3
-    if domain == NEGATIVE:
-        if s >= 1.0:
-            raise DomainError(
-                f"parabola negative-domain coordinate must satisfy 0 < s < 1, got s={s}"
-            )
-        return -4.0 * s2 * s / (1.0 - s2) ** 3
-    raise ParameterError(f"domain must be {POSITIVE!r} or {NEGATIVE!r}, got {domain!r}")
+    return _density(_PARABOLA, s, SQRTPRICE, _domain_sign(domain))
 
 
 def parabola_liquidity_tick(t: float, domain: str = POSITIVE) -> float:
@@ -137,28 +168,12 @@ def parabola_liquidity_tick(t: float, domain: str = POSITIVE) -> float:
     domain: defined for t < 0 only and negative there, blowing up as
     t -> 0- where the pool's negative liquidity concentrates.
     """
-    _domain_sign(domain)  # rejects an unknown domain
-    if not math.isfinite(t):
-        raise DomainError(f"tick must be finite, got t={t}")
-    if domain == NEGATIVE and t >= 0.0:
-        raise DomainError(
-            f"parabola negative-domain tick must satisfy t < 0, got t={t}"
-        )
-    try:
-        s = math.exp(0.5 * t)
-    except OverflowError:
-        return 0.0
-    if s == 0.0:
-        return -0.0 if domain == NEGATIVE else 0.0
-    return parabola_liquidity_sqrtprice(s, domain)
+    return _density(_PARABOLA, t, TICK, _domain_sign(domain))
 
 
 def cpmm_liquidity(L: float, sign: str = "+") -> float:
     """Constant-product fingerprint: uniform depth +/- L at every coordinate."""
-    sgn = _check_sign(sign)
-    if not math.isfinite(L) or L <= 0.0:
-        raise ParameterError(f"cpmm requires L > 0, got L={L}")
-    return sgn * L
+    return _CLOSED_FORMS[Family.CPMM](CurveSpec.cpmm(L), 1.0, _check_sign(sign))
 
 
 def gaussian_fingerprint(t: float, mu: float, sigma: float, mass: float) -> float:
@@ -207,44 +222,24 @@ def numeric_fingerprint(
     """
     if space not in (SQRTPRICE, TICK):
         raise ParameterError(f"space must be {SQRTPRICE!r} or {TICK!r}, got {space!r}")
-    curves._FAMILIES[spec.family].check_fingerprint(spec)
-    samples = []
+    sgn = _domain_sign(domain)
+    points = []
+    # Read the whole grid first: a tick out of float range is reported before
+    # any point whose reserve the curve refuses.
     for coord in coord_grid:
         c = float(coord)
-        if space == TICK:
-            if not math.isfinite(c):
-                raise DomainError(f"tick must be finite, got t={c}")
-            try:
-                s = math.exp(0.5 * c)
-            except OverflowError:
-                raise DomainError(f"tick t={c} overflows the sqrt-price e^(t/2)") from None
-        else:
-            s = c
-        if not math.isfinite(s) or s <= 0.0:
-            raise DomainError(f"sqrt-price coordinate must be > 0, got s={s}")
-        h = 1e-5 * max(1.0, abs(s))
+        s = _sqrt_price(c, space)
+        if s == 0.0 or s == math.inf:
+            raise DomainError(f"tick t={c} takes the sqrt-price e^(t/2) out of float range")
+        points.append((c, s))
+    samples = []
+    for c, s in points:
+        h = 1e-5 * max(1.0, s)
         if h >= s:
             h = 0.5 * s
         d = central_difference(lambda ss: numeraire_reserve(spec, ss, domain), s, h)
-        samples.append(FingerprintSample(c, _domain_sign(domain) * d, domain))
+        samples.append(FingerprintSample(c, sgn * d, domain))
     return samples
-
-
-# Closed-form density at one coordinate (t = ln|p| in tick space) by family;
-# csemm has none.  Each names this module's functions at call time.
-_CLOSED_FORMS = {
-    Family.CCMM: lambda spec, coord, space, domain: (
-        ccmm_liquidity_tick if space == TICK else ccmm_liquidity_sqrtprice
-    )(coord, spec.k, "+" if domain == POSITIVE else "-"),
-    Family.PARABOLA: lambda spec, coord, space, domain: (
-        parabola_liquidity_tick if space == TICK else parabola_liquidity_sqrtprice
-    )(coord, domain),
-    # The '-' rows are the mirrored negative-liquidity branch of x*y = L^2;
-    # no pool state reaches them, they exist for plots.
-    Family.CPMM: lambda spec, coord, space, domain: cpmm_liquidity(
-        spec.L, "+" if domain == POSITIVE else "-"
-    ),
-}
 
 
 def tail_index(samples: Sequence[FingerprintSample]) -> float:

@@ -58,7 +58,7 @@ def gamma(spec: CurveSpec, p: float) -> float:
 
 
 def theta(spec: CurveSpec, p: float, sigma_iv: float) -> float:
-    """Time decay -(sigma_iv^2 / 2) * gamma(p), arithmetic-vol units."""
+    """Time decay -(sigma_iv^2 / 2) * gamma(p), arithmetic-vol units; 0.0 at sigma_iv 0."""
     return greeks(spec, p, sigma_iv).theta
 
 
@@ -72,4 +72,6 @@ def greeks(spec: CurveSpec, p: float, sigma_iv: float = 0.0) -> GreeksPoint:
         raise DomainError(f"{spec.family.value} payoff is defined for p > 0, got p={p}")
     state = curves.state_from_price(spec, p)
     g = curves._FAMILIES[spec.family].gamma(spec, p, state.x)
-    return GreeksPoint(p, p * state.x + state.y, state.x, g, -0.5 * sigma_iv * sigma_iv * g)
+    decay = -0.5 * sigma_iv * sigma_iv
+    # No volatility, no decay: 0.0 even where gamma is -inf.
+    return GreeksPoint(p, p * state.x + state.y, state.x, g, decay * g if decay else 0.0)

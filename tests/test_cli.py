@@ -341,6 +341,25 @@ def test_fingerprint_closed_form_refuses_quartic_parabola():
         assert "fingerprints are defined for the m=2 parabola only" in err
 
 
+def test_cpmm_closed_form_fingerprint_reads_its_coordinate():
+    # A sqrt-price coordinate must be > 0 for every family, cpmm included.
+    for family in (["cpmm", "--L", "2"], ["ccmm", "--k", "1"]):
+        for source in ("auto", "numeric"):
+            code, out, err = invoke(
+                ["fingerprint", "--family", *family, "--space", "sqrtprice",
+                 "--source", source, "--grid", "-1:1:3"]
+            )
+            assert (code, out) == (1, ""), (family, source)
+            assert "got s=-1.0" in err
+    code, out, _ = invoke(
+        ["fingerprint", "--family", "cpmm", "--L", "2", "--space", "sqrtprice",
+         "--grid", "0.5:1:2"]
+    )
+    assert code == 0
+    assert rows_of(out)[1:] == [["0.5", "2.0", "positive_price"],
+                                ["1.0", "2.0", "positive_price"]]
+
+
 def test_compare_spec_non_integer_m_is_usage_error():
     for spec in ("parabola:m=2.5", "parabola:m=3.9"):
         code, out, err = invoke(["compare", "--specs", spec, "--grid", "1:2:3"])

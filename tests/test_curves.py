@@ -513,3 +513,24 @@ def test_csemm_bottom_of_the_curve_is_the_fold_on_both_sides():
 def test_price_at_zero_reserve_is_plus_infinity():
     for spec in (CurveSpec.csemm(3.0, 4.0), CurveSpec.parabola(2)):
         assert price_of(spec, state_from_x(spec, 0.0)) == math.inf
+
+
+def test_ccmm_state_from_price_refuses_non_finite_prices():
+    spec = CurveSpec.ccmm(1.0)
+    for p in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="price must be finite"):
+            state_from_price(spec, p)
+    # The angle itself still reads the two infinities.
+    assert ccmm_angle_from_price(math.inf) == math.pi
+    assert ccmm_angle_from_price(-math.inf) == 2.0 * math.pi
+
+
+def test_ccmm_state_at_huge_price_stays_on_the_trading_branch():
+    # theta rounds to fl(pi) here, whose sine is +1.2e-16 rather than 0.
+    for k in (1.0, 3.0):
+        spec = CurveSpec.ccmm(k)
+        for p in (1e17, 1.6e16, 1e300):
+            state = state_from_price(spec, p)
+            assert state.theta == math.pi
+            assert (state.x, state.y) == (0.0, k)
+            assert price_of(spec, state) == math.inf

@@ -5,7 +5,9 @@ respect to sqrt-price (or its tick-space reading), so every analytic value
 here is cross-checked against central differences of the reserve itself.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +105,41 @@ def test_extreme_ticks_flatten_to_zero():
     assert ccmm_liquidity_tick(-3000.0, 1.0) == 0.0
     assert parabola_liquidity_tick(1500.0) == 0.0
     assert parabola_liquidity_tick(-3000.0, NEGATIVE) == 0.0
+
+
+_FROZEN = Path(__file__).parent / "data" / "closed_form_fingerprints.json"
+_SQRT_PRICES = (5e-324, 1e-100, 0.25, 1.0, 1.7, 1e10, 1e50, 1e100, 1e200)
+# t = 1500 overflows e^(t/2) and t = -3000 underflows it; 709 and 1419 sit
+# just inside, where s^4 or s itself is still finite.
+_TICKS = (-3000.0, -1490.0, -20.0, -1.5, 0.0, 0.7, 20.0, 709.0, 1419.0, 1500.0)
+# The parabola's negative side runs up to s -> 1, t -> 0-: 1 - 2^-53 is the
+# last sqrt-price below 1, and e^(t/2) rounds to it at t = -2.3e-16.
+_PARABOLA_NEG_S = (5e-324, 1e-100, 0.25, 0.5, 0.9, 1.0 - 2.0 ** -53)
+_PARABOLA_NEG_T = (-3000.0, -1490.0, -20.0, -1.5, -0.01, -1e-8, -2.3e-16)
+
+
+def _closed_form_cases():
+    """(label, value) for the five public closed forms over edge coordinates."""
+    calls = [
+        (fn, (c, k, sign))
+        for fn, coords in ((ccmm_liquidity_sqrtprice, _SQRT_PRICES),
+                           (ccmm_liquidity_tick, _TICKS))
+        for k in (1.0, 3.0)
+        for sign in "+-"
+        for c in coords
+    ]
+    for fn, pos, neg in ((parabola_liquidity_sqrtprice, _SQRT_PRICES, _PARABOLA_NEG_S),
+                         (parabola_liquidity_tick, _TICKS, _PARABOLA_NEG_T)):
+        calls += [(fn, (c, POSITIVE)) for c in pos] + [(fn, (c, NEGATIVE)) for c in neg]
+    calls += [(cpmm_liquidity, (L, sign)) for L in (1.0, 2.0) for sign in "+-"]
+    return {f"{fn.__name__}{args!r}": fn(*args) for fn, args in calls}
+
+
+def test_closed_forms_match_frozen_bits():
+    # Frozen as float.hex, so the sign of a flattened 0.0 counts too.
+    frozen = json.loads(_FROZEN.read_text(encoding="utf-8"))
+    got = {label: value.hex() for label, value in _closed_form_cases().items()}
+    assert got == frozen
 
 
 def test_cpmm_flat_density():
@@ -309,7 +346,8 @@ def test_bad_space_and_domain_are_refused():
 
 
 def test_non_finite_numeric_tick_is_refused():
-    for t in (math.nan, math.inf):
+    # 1500 and -3000 are finite but put e^(t/2) beyond the float range.
+    for t in (math.nan, math.inf, 1500.0, -3000.0):
         with pytest.raises(DomainError):
             numeric_fingerprint(CurveSpec.ccmm(1.0), [t], TICK)
 
@@ -325,3 +363,11 @@ def test_gaussian_mass_must_be_positive():
     for mass in (0.0, -1.0):
         with pytest.raises(ParameterError):
             gaussian_fingerprint(0.0, 0.0, 1.0, mass)
+
+
+def test_parabola_far_tail_flattens_where_its_denominator_overflows():
+    # (1+s^2)^3 overflows for s past ~7.5e51 while s^4 is still finite.
+    for s in (1e52, 1e60, 1e77):
+        assert parabola_liquidity_sqrtprice(s) == 0.0
+    for t in (240.0, 300.0, 354.0):
+        assert parabola_liquidity_tick(t) == 0.0

@@ -218,3 +218,15 @@ def test_diamond_sides_have_unbounded_gamma():
         assert point.theta == math.inf
         state = state_from_price(spec, p)
         assert (point.value, point.delta) == (p * state.x + state.y, state.x)
+
+
+def test_theta_is_zero_without_volatility_even_where_gamma_is_unbounded():
+    # -(0^2/2) * -inf is NaN in floats; with no volatility there is no decay.
+    for spec, p in ((CurveSpec.csemm(8.0, 2.5), 0.0),
+                    (CurveSpec.csemm(2.0, 2.0), -1.0),
+                    (CurveSpec.csemm(2.0, 2.0), 1.0)):
+        point = greeks(spec, p)
+        assert point.gamma == -math.inf
+        assert point.theta == 0.0 and math.copysign(1.0, point.theta) == 1.0
+        assert theta(spec, p, 0.0) == 0.0
+        assert greeks(spec, p, 0.8).theta == math.inf
