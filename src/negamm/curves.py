@@ -25,8 +25,9 @@ Everything the package knows about a family sits in its record in
 y(x), x(y, side), p(x), the state at a price and gamma = dx/dp.  The generic
 functions and the other modules read the records.  A spec validates its
 parameters and computes its derived constants (csemm: u(alpha) and u(beta))
-once, when it is built; the record kernels trust a built spec and check only
-their per-call arguments.
+once, when it is built.  The record's bounds are the only statement of each
+reserve range: the generic functions check reserves, branch names and prices
+once (``_within``, ``y_from_x``, ``state_from_price``), and the kernels only compute.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import ConvergenceError, DomainError, DomainExceeded, ParameterError
 
 _TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
@@ -44,6 +45,11 @@ _THREE_HALF_PI = 1.5 * math.pi
 
 # Residual tolerance factor for deciding whether a state sits on its curve.
 _RESIDUAL_TOL = 1e-9
+
+# Range of ccmm k and cpmm L: inside it k^2 and L^2, the residual of every
+# on-branch state and the tolerance 1e-9 k^2 stay clear of float overflow (near
+# k = 1.3e154) and underflow.
+_SIZE_MIN, _SIZE_MAX = 1e-150, 1e150
 
 
 
@@ -112,11 +118,15 @@ def csemm_exponent(c: float) -> float:
     """Exponent u(c) = ln2 / ln(c/(c-1)) of the super-elliptical family.
 
     u(2) = 1 (diamond), u(2+sqrt(2)) = 2 (circle), and u grows without
-    bound as c -> inf.  Requires c >= 2.
+    bound as c -> inf.  Requires c >= 2, and c/(c-1) > 1 in floats, which
+    holds up to about c = 9.007e15 (2**53).
     """
     if not math.isfinite(c) or c < 2.0:
         raise ParameterError(f"exponent map requires c >= 2, got c={c}")
-    return math.log(2.0) / math.log(c / (c - 1.0))
+    ratio = c / (c - 1.0)
+    if ratio == 1.0:
+        raise ParameterError(f"exponent map requires c/(c-1) > 1 in floats, got c={c}")
+    return math.log(2.0) / math.log(ratio)
 
 
 def _log_abs_dev(z: float, c: float) -> float:
@@ -146,14 +156,8 @@ def ccmm_y_from_x(x: float, k: float, branch: str = "lower") -> float:
 
 def _ccmm_y(spec: CurveSpec, x: float, branch: str) -> float:
     k = spec.k
-    if not math.isfinite(x) or x < 0.0 or x > 2.0 * k:
-        raise DomainError(f"ccmm x must lie in [0, {2.0 * k}], got x={x}")
     root = math.sqrt(x * (2.0 * k - x))
-    if branch == "lower":
-        return k - root
-    if branch == "upper":
-        return k + root
-    raise ParameterError(f"branch must be 'lower' or 'upper', got {branch!r}")
+    return k - root if branch == "lower" else k + root
 
 
 def csemm_y_from_x(x: float, alpha: float, beta: float, branch: str = "lower") -> float:
@@ -169,20 +173,14 @@ def csemm_y_from_x(x: float, alpha: float, beta: float, branch: str = "lower") -
 def _csemm_y(spec: CurveSpec, x: float, branch: str) -> float:
     a, b = spec.alpha, spec.beta
     u_a, u_b = spec._consts
-    if not math.isfinite(x) or x < 0.0 or x > 2.0 * a:
-        raise DomainError(f"csemm x must lie in [0, {2.0 * a}], got x={x}")
     inner = _csemm_inner(x, a, u_a)
-    if branch == "lower":
-        if inner == 0.0:
-            return float(b)
-        if inner == 1.0:
-            return 0.0
-        return -b * math.expm1(math.log(inner) / u_b)
+    if inner == 0.0:
+        return float(b)
     if branch == "upper":
-        if inner == 0.0:
-            return float(b)
         return b * (1.0 + math.exp(math.log(inner) / u_b))
-    raise ParameterError(f"branch must be 'lower' or 'upper', got {branch!r}")
+    if inner == 1.0:
+        return 0.0
+    return -b * math.expm1(math.log(inner) / u_b)
 
 
 def parabola_y_from_x(x: float, m: int = 2) -> float:
@@ -190,21 +188,9 @@ def parabola_y_from_x(x: float, m: int = 2) -> float:
     return y_from_x(CurveSpec.parabola(m), x)
 
 
-def _parabola_y(spec: CurveSpec, x: float, branch: str) -> float:
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"parabola requires x >= 0, got x={x}")
-    return (1.0 - math.sqrt(x)) ** spec.m
-
-
 def cpmm_y_from_x(x: float, L: float) -> float:
     """y = L^2 / x on the positive branch of x*y = L^2."""
     return y_from_x(CurveSpec.cpmm(L), x)
-
-
-def _cpmm_y(spec: CurveSpec, x: float, branch: str) -> float:
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"cpmm requires x > 0, got x={x}")
-    return spec.L * spec.L / x
 
 
 def cpmm_x_from_price(p: float, L: float, sign: str = "+") -> float:
@@ -216,10 +202,16 @@ def cpmm_x_from_price(p: float, L: float, sign: str = "+") -> float:
     can reach it.  Prices must be strictly positive either way.
     """
     spec = CurveSpec.cpmm(L)
-    if sign not in ("+", "-"):
-        raise ParameterError(f"sign must be '+' or '-', got {sign!r}")
-    mag = _cpmm_x(p, spec.L)
-    return mag if sign == "+" else -mag
+    return _sign_factor(sign) * _cpmm_x(p, spec.L)
+
+
+def _sign_factor(sign: str) -> float:
+    """+1.0 for '+' and -1.0 for '-', the branch or domain a sign names."""
+    if sign == "+":
+        return 1.0
+    if sign == "-":
+        return -1.0
+    raise ParameterError(f"sign must be '+' or '-', got {sign!r}")
 
 
 def _cpmm_x(p: float, L: float) -> float:
@@ -232,13 +224,17 @@ def invariant_residual(spec: CurveSpec, x: float, y: float) -> float:
     """Signed residual of (x, y) against the curve equation.
 
     Zero means exactly on-curve.  Scales: the residual is in natural curve
-    units, compare against residual_scale(spec) when testing closeness.
+    units, compare against residual_scale(spec) when testing closeness.  It is
+    inf, sign unknown, where a square or power of a reserve leaves the float range.
     """
-    return _FAMILIES[spec.family].residual(spec, x, y)
+    try:
+        return _FAMILIES[spec.family].residual(spec, x, y)
+    except OverflowError:
+        return math.inf
 
 
 def residual_scale(spec: CurveSpec) -> float:
-    """Natural size of the invariant, used to normalise residuals."""
+    """Natural size of the invariant in the residual's units: ccmm k^2, cpmm L^2, else 1."""
     return _FAMILIES[spec.family].scale(spec)
 
 
@@ -254,9 +250,16 @@ def y_from_x(spec: CurveSpec, x: float, branch: str = "lower") -> float:
     for plotting the closed curve, not for trading.
     """
     rec = _FAMILIES[spec.family]
-    if branch != "lower" and not rec.upper_branch:
-        raise ParameterError(f"{spec.family.value} has a single branch")
-    return rec.y(spec, x, branch)
+    if branch != "lower":
+        if not rec.upper_branch:
+            raise ParameterError(f"{spec.family.value} has a single branch")
+        if branch != "upper":
+            raise ParameterError(f"branch must be 'lower' or 'upper', got {branch!r}")
+    _within(spec, x, rec.x_bounds(spec), "x")
+    try:
+        return rec.y(spec, x, branch)
+    except OverflowError:  # the parabola's (1 - sqrt(x))^m for m >= 4 and huge x
+        raise DomainError(f"{spec.family.value} y leaves the float range at x={x}") from None
 
 
 def x_from_y_on_side(spec: CurveSpec, y: float, side: str = "left") -> float:
@@ -270,24 +273,30 @@ def x_from_y_on_side(spec: CurveSpec, y: float, side: str = "left") -> float:
     if side not in ("left", "right"):
         raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
     rec = _FAMILIES[spec.family]
-    bounds = rec.y_bounds(spec, side)
-    if not math.isfinite(y) or _outside(spec, y, bounds):
-        where = _interval(spec, bounds)
-        raise DomainError(f"{spec.family.value} {side}-side y must lie in {where}, got y={y}")
+    _within(spec, y, rec.y_bounds(spec, side), "y", side)
     return rec.x_of_y(spec, y, side)
 
 
-def _outside(spec: CurveSpec, value: float, bounds: tuple[float, float]) -> bool:
-    """Whether ``value`` misses the branch interval ``bounds``; see _interval."""
-    lo, hi = bounds
-    return (value <= lo if _FAMILIES[spec.family].open_low else value < lo) or value > hi
+def _within(spec: CurveSpec, value: float, bounds: tuple[float, float], name: str,
+            side: str = "", trade: bool = False) -> None:
+    """Refuse reserve ``name`` = ``value`` unless it lies on the branch ``bounds``.
 
-
-def _interval(spec: CurveSpec, bounds: tuple[float, float]) -> str:
-    """The interval ``bounds`` as text, with an open low end where open_low is set."""
+    The branch is [lo, hi], or (lo, hi] where the family's ``open_low`` is set;
+    NaN and +/-inf never lie on it.  The refusal is a DomainError naming the
+    family and the ``side`` of the fold, or with ``trade`` a DomainExceeded
+    worded as the move a trade would make.
+    """
     lo, hi = bounds
-    left = "(" if _FAMILIES[spec.family].open_low else "["
-    return f"{left}{lo:g}, {hi}{')' if hi == math.inf else ']'}"
+    if lo < value <= hi and value < math.inf:
+        return
+    open_low = _FAMILIES[spec.family].open_low
+    if value == lo and not open_low:
+        return
+    where = f"{'(' if open_low else '['}{lo:g}, {hi}{')' if hi == math.inf else ']'}"
+    if trade:
+        raise DomainExceeded(f"trade would move {name} to {value}, outside the branch {where}")
+    what = f"{side}-side {name}" if side else name
+    raise DomainError(f"{spec.family.value} {what} must lie in {where}, got {name}={value}")
 
 
 def _price_from_x(spec: CurveSpec, x: float) -> float:
@@ -297,10 +306,7 @@ def _price_from_x(spec: CurveSpec, x: float) -> float:
     vertical.  Exactly zero at the fold.
     """
     rec = _FAMILIES[spec.family]
-    bounds = rec.x_bounds(spec)
-    if _outside(spec, x, bounds):
-        where = _interval(spec, bounds)
-        raise DomainError(f"{spec.family.value} x must lie in {where}, got x={x}")
+    _within(spec, x, rec.x_bounds(spec), "x")
     return rec.price(spec, x)
 
 
@@ -589,8 +595,10 @@ def state_from_price(spec: CurveSpec, p: float) -> PoolState:
     """Build the trading-branch state quoting marginal price p.
 
     ccmm/csemm accept any finite p; cpmm needs p > 0; the parabola (m=2)
-    needs p > -1.
+    needs p > -1.  A non-finite p is refused for every family.
     """
+    if not math.isfinite(p):
+        raise DomainError(f"price must be finite, got p={p}")
     return _FAMILIES[spec.family].at_price(spec, p)
 
 
@@ -603,11 +611,13 @@ class _Record:
 
     ``params`` maps the CurveSpec fields used to their type, in constructor
     order.  Branch reserves lie in [lo, hi] of ``x_bounds`` / ``y_bounds``
-    (default [0, inf)), or (lo, hi] when ``open_low``; ``gamma(spec, p, x)``
-    gets the x quoting p.  ``derive`` returns the spec's derived constants,
-    stored on it as ``_consts`` when it is built.  Entries call private kernels,
-    which trust the built spec, or name public functions at call time and never
-    store them, so a patched or wrapped module attribute is what runs.
+    (default [0, inf)), or (lo, hi] when ``open_low``: the only statement of
+    each range, which ``_within`` checks before any kernel runs.  ``gamma(spec,
+    p, x)`` gets the x quoting p.  ``derive`` returns the spec's derived
+    constants, stored on it as ``_consts`` when it is built.  Entries call
+    private kernels, which only compute and trust the spec and their arguments,
+    or name public functions at call time and never store them, so a patched or
+    wrapped module attribute is what runs.
     """
 
     params: dict
@@ -631,13 +641,19 @@ class _Record:
     derive: Callable = lambda spec: None
 
 
-def _require(spec: CurveSpec, lo: float, strict: bool, *names: str) -> None:
-    """Each named parameter is finite and > lo (strict) or >= lo."""
+def _require(spec: CurveSpec, lo: float, strict: bool, *names: str,
+             size: bool = False) -> None:
+    """Each named parameter is finite, > lo (strict) or >= lo, and with ``size``
+    in [_SIZE_MIN, _SIZE_MAX]."""
     for name in names:
         val = getattr(spec, name)
         if val is None or not math.isfinite(val) or (val <= lo if strict else val < lo):
             rule = f"{name} {'>' if strict else '>='} {lo:g}"
-            raise ParameterError(f"{spec.family.value} requires {rule}, got {name}={val}")
+        elif size and not _SIZE_MIN <= val <= _SIZE_MAX:
+            rule = f"{_SIZE_MIN:g} <= {name} <= {_SIZE_MAX:g}"
+        else:
+            continue
+        raise ParameterError(f"{spec.family.value} requires {rule}, got {name}={val}")
 
 
 def _ccmm_x_of_y(spec: CurveSpec, y: float, side: str) -> float:
@@ -648,16 +664,13 @@ def _ccmm_x_of_y(spec: CurveSpec, y: float, side: str) -> float:
 
 def _ccmm_price(spec: CurveSpec, x: float) -> float:
     k = spec.k
-    if x == 0.0:
-        return math.inf
-    if x == 2.0 * k:
-        return -math.inf
-    return (k - x) / math.sqrt(x * (2.0 * k - x))
+    root = math.sqrt(x * (2.0 * k - x))
+    if root == 0.0:  # an end of the arc, or x so near 0 that x(2k - x) underflows
+        return math.inf if x < k else -math.inf
+    return (k - x) / root
 
 
 def _ccmm_at_price(spec: CurveSpec, p: float) -> PoolState:
-    if not math.isfinite(p):
-        raise DomainError(f"price must be finite, got p={p}")
     theta = ccmm_angle_from_price(p)
     k = spec.k
     # theta rounds to fl(pi) for p >~ 1.6e16, whose sine is +1.2e-16; the arc has y <= k.
@@ -742,24 +755,26 @@ def _parabola_price(spec: CurveSpec, x: float) -> float:
 _FAMILIES: dict[Family, _Record] = {
     Family.CPMM: _Record(
         params={"L": float},
-        check=lambda s: _require(s, 0.0, True, "L"),
+        check=lambda s: _require(s, 0.0, True, "L", size=True),
         open_low=True,
         scale=lambda s: s.L * s.L,
         residual=lambda s, x, y: x * y - s.L * s.L,
-        y=_cpmm_y,
+        y=lambda s, x, branch: s.L * s.L / x,
         x_of_y=lambda s, y, side: s.L * s.L / y,
         price=lambda s, x: (s.L / x) * (s.L / x),  # L^2 / x^2
         state_price=lambda s, state: state.y / state.x,
         at_price=lambda s, p: PoolState(_cpmm_x(p, s.L), s.L * math.sqrt(p)),
-        gamma=lambda s, p, x: -s.L / (2.0 * p * math.sqrt(p)),
+        # where 2 p^1.5 underflows to zero, below p ~ 1.2e-216, divide in two steps
+        gamma=lambda s, p, x: -s.L / d if (d := 2.0 * p * math.sqrt(p))
+        else -(s.L / (2.0 * p)) / math.sqrt(p),
     ),
     Family.CCMM: _Record(
         params={"k": float},
-        check=lambda s: _require(s, 0.0, True, "k"),
+        check=lambda s: _require(s, 0.0, True, "k", size=True),
         x_bounds=lambda s: (0.0, 2.0 * s.k),
         y_bounds=lambda s, side: (0.0, s.k),
         fold=lambda s: s.k,
-        scale=lambda s: s.k,
+        scale=lambda s: s.k * s.k,
         residual=lambda s, x, y: (x - s.k) ** 2 + (y - s.k) ** 2 - s.k * s.k,
         upper_branch=True,
         y=_ccmm_y,
@@ -791,7 +806,7 @@ _FAMILIES: dict[Family, _Record] = {
         y_bounds=lambda s, side: (0.0, 1.0 if side == "left" else math.inf),
         fold=lambda s: 1.0,
         residual=lambda s, x, y: y - (1.0 - math.sqrt(max(x, 0.0))) ** s.m,
-        y=_parabola_y,
+        y=lambda s, x, branch: (1.0 - math.sqrt(x)) ** s.m,
         x_of_y=_parabola_x_of_y,
         price=_parabola_price,
         at_price=lambda s, p: state_from_x(s, _parabola_x(p, s.m)),

@@ -52,14 +52,6 @@ class FingerprintSample:
     domain_sign: str = POSITIVE
 
 
-def _check_sign(sign: str) -> float:
-    if sign == "+":
-        return 1.0
-    if sign == "-":
-        return -1.0
-    raise ParameterError(f"sign must be '+' or '-', got {sign!r}")
-
-
 def _domain_sign(domain: str) -> float:
     if domain == POSITIVE:
         return 1.0
@@ -138,7 +130,7 @@ def ccmm_liquidity_sqrtprice(s: float, k: float, sign: str = "+") -> float:
     domain.  Peaks at s=1 (price 1) with value k/sqrt(2); both tails decay
     like a Pareto density with tail index 3.
     """
-    return _density(CurveSpec.ccmm(k), s, SQRTPRICE, _check_sign(sign))
+    return _density(CurveSpec.ccmm(k), s, SQRTPRICE, curves._sign_factor(sign))
 
 
 def ccmm_liquidity_tick(t: float, k: float, sign: str = "+") -> float:
@@ -146,7 +138,7 @@ def ccmm_liquidity_tick(t: float, k: float, sign: str = "+") -> float:
 
     Identical to the sqrt-price form read at s = e^{t/2}.
     """
-    return _density(CurveSpec.ccmm(k), t, TICK, _check_sign(sign))
+    return _density(CurveSpec.ccmm(k), t, TICK, curves._sign_factor(sign))
 
 
 def parabola_liquidity_sqrtprice(s: float, domain: str = POSITIVE) -> float:
@@ -173,7 +165,7 @@ def parabola_liquidity_tick(t: float, domain: str = POSITIVE) -> float:
 
 def cpmm_liquidity(L: float, sign: str = "+") -> float:
     """Constant-product fingerprint: uniform depth +/- L at every coordinate."""
-    return _CLOSED_FORMS[Family.CPMM](CurveSpec.cpmm(L), 1.0, _check_sign(sign))
+    return _CLOSED_FORMS[Family.CPMM](CurveSpec.cpmm(L), 1.0, curves._sign_factor(sign))
 
 
 def gaussian_fingerprint(t: float, mu: float, sigma: float, mass: float) -> float:
@@ -194,8 +186,7 @@ def numeraire_reserve(spec: CurveSpec, s: float, domain: str = POSITIVE) -> floa
     The price is s^2 in the positive domain and -s^2 in the negative one.
     This is the function whose s-derivative is the fingerprint.
     """
-    if not math.isfinite(s) or s <= 0.0:
-        raise DomainError(f"sqrt-price coordinate must be > 0, got s={s}")
+    s = _sqrt_price(s, SQRTPRICE)
     return curves.state_from_price(spec, _domain_sign(domain) * (s * s)).y
 
 

@@ -66,12 +66,13 @@ def greeks(spec: CurveSpec, p: float, sigma_iv: float = 0.0) -> GreeksPoint:
     """Value, delta, gamma and theta bundled for one price point."""
     if not math.isfinite(sigma_iv) or sigma_iv < 0.0:
         raise ParameterError(f"sigma_iv must be >= 0, got {sigma_iv}")
-    if not math.isfinite(p):
-        raise DomainError(f"price must be finite, got p={p}")
     if curves._FAMILIES[spec.family].positive_greeks and p <= 0.0:
         raise DomainError(f"{spec.family.value} payoff is defined for p > 0, got p={p}")
     state = curves.state_from_price(spec, p)
-    g = curves._FAMILIES[spec.family].gamma(spec, p, state.x)
+    try:
+        g = curves._FAMILIES[spec.family].gamma(spec, p, state.x)
+    except OverflowError:  # (1+p^2)^1.5 or (1+p)^3 past the float range: flat,
+        g = -0.0  # as where p * p is already inf
     decay = -0.5 * sigma_iv * sigma_iv
     # No volatility, no decay: 0.0 even where gamma is -inf.
     return GreeksPoint(p, p * state.x + state.y, state.x, g, decay * g if decay else 0.0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import curves
 from .curves import CurveSpec, PoolState
-from .errors import DomainExceeded, InvalidFee, ParameterError
+from .errors import InvalidFee, ParameterError
 
 TOKEN_X = "x"
 TOKEN_Y = "y"
@@ -57,28 +57,20 @@ def _validate_request(req: SwapRequest) -> None:
         raise InvalidFee(f"fee must lie in [0, 1), got {req.fee}")
 
 
-def _check_reserve(spec: CurveSpec, name: str, value: float, bounds) -> None:
-    if curves._outside(spec, value, bounds):
-        raise DomainExceeded(
-            f"trade would move {name} to {value}, outside the branch "
-            f"{curves._interval(spec, bounds)}"
-        )
-
-
 def _traverse(spec: CurveSpec, state: PoolState, req: SwapRequest) -> PoolState:
     """Post-trade state for an exact-input trade; pure."""
     rec = curves._FAMILIES[spec.family]
     effective = (1.0 - req.fee) * req.amount_in
     if req.token_in == TOKEN_X:
         x_new = state.x + effective
-        _check_reserve(spec, "x", x_new, rec.x_bounds(spec))
+        curves._within(spec, x_new, rec.x_bounds(spec), "x", trade=True)
         return curves.state_from_x(spec, x_new)
     y_new = state.y + effective
     # The side of the zero-price fold; a state exactly at the fold counts as
     # 'left' (positive prices), so a y-input trade from it moves that way.
     fx = rec.fold(spec)
     side = "left" if fx is None or state.x <= fx else "right"
-    _check_reserve(spec, "y", y_new, rec.y_bounds(spec, side))
+    curves._within(spec, y_new, rec.y_bounds(spec, side), "y", trade=True)
     x_new = curves.x_from_y_on_side(spec, y_new, side)
     new_state = curves.state_from_x(spec, x_new)
     # Re-anchor y to the exact requested reserve; x solved for it.

@@ -276,6 +276,11 @@ def test_domain_and_parameter_errors_exit_one():
         ["curve", "--family", "ccmm", "--k", "1", "--grid", "0:3:7"]
     )
     assert code == 1  # grid walks off the curve
+    code, _, err = invoke(
+        ["curve", "--family", "csemm", "--alpha", "1e16", "--beta", "3", "--grid", "0:1:2"]
+    )
+    assert code == 1  # c/(c-1) rounds to 1
+    assert err.startswith("error: ") and "c=1e+16" in err
 
 
 def test_unwritable_output_exits_one(tmp_path):
@@ -573,3 +578,25 @@ def test_malformed_compare_specs_exit_two():
     for spec in ("frob:k=1", "ccmm:k", "ccmm:k=abc", "csemm:alpha=3"):
         code, out, _ = invoke(["compare", "--specs", spec, "--grid", "0:1:3"])
         assert (code, out) == (2, ""), spec
+
+
+def test_float_range_overflow_reaches_no_caller():
+    # Each of these let an OverflowError or ZeroDivisionError out of run().
+    payoffs = (
+        ["payoff", "--family", "ccmm", "--k", "1", "--grid", "1e110:1e120:2"],
+        ["payoff", "--family", "parabola", "--grid", "1e103:1e104:2"],
+        ["payoff", "--family", "cpmm", "--L", "2", "--grid", "1e-300:1e-299:2"],
+    )
+    for argv, gamma in zip(payoffs, ("-0.0", "-0.0", "-inf")):
+        code, out, _ = invoke(argv)
+        assert code == 0, argv
+        assert [row[3] for row in rows_of(out)[1:]] == [gamma, gamma]
+    refusals = (
+        (["swap", "--family", "ccmm", "--k", "1", "--x", "0", "--y", "1e200",
+          "--token-in", "x", "--amount-in", "0.1"], "off-curve"),
+        (["curve", "--family", "parabola", "--m", "4", "--grid", "1e299:1e300:2"], "x=1e+299"),
+    )
+    for argv, reason in refusals:
+        code, out, err = invoke(argv)
+        assert code == 1, argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and reason in err

@@ -513,6 +513,9 @@ def test_csemm_bottom_of_the_curve_is_the_fold_on_both_sides():
 def test_price_at_zero_reserve_is_plus_infinity():
     for spec in (CurveSpec.csemm(3.0, 4.0), CurveSpec.parabola(2)):
         assert price_of(spec, state_from_x(spec, 0.0)) == math.inf
+    # x(2k - x) underflows to zero this near x = 0
+    tiny = CurveSpec.ccmm(1e-9)
+    assert price_of(tiny, state_from_x(tiny, 1e-320)) == math.inf
 
 
 def test_ccmm_state_from_price_refuses_non_finite_prices():
@@ -534,3 +537,47 @@ def test_ccmm_state_at_huge_price_stays_on_the_trading_branch():
             assert state.theta == math.pi
             assert (state.x, state.y) == (0.0, k)
             assert price_of(spec, state) == math.inf
+
+
+def test_state_from_price_refuses_non_finite_prices_for_every_family():
+    for spec in (CurveSpec.ccmm(1.0), CurveSpec.csemm(3.0, 4.0), CurveSpec.parabola(2),
+                 CurveSpec.cpmm(2.0)):
+        for p in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="price must be finite"):
+                state_from_price(spec, p)
+
+
+def test_ccmm_on_curve_tolerance_is_relative_at_every_k():
+    # The residual is in units of k^2, and so is the tolerance.
+    small = CurveSpec.ccmm(1e-9)
+    on = state_from_x(small, 0.5e-9)
+    assert price_of(small, on) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15)
+    with pytest.raises(DomainError, match="off-curve"):
+        price_of(small, PoolState(on.x, 1.1 * on.y))  # y 10% off the circle
+    for k in (1e9, 1e12, 1e150):
+        spec = CurveSpec.ccmm(k)
+        for p in (-100.0, -3.0, -0.5, 0.0, 0.7, 5.0, 300.0):
+            assert price_of(spec, state_from_price(spec, p)) == pytest.approx(p, rel=1e-9, abs=1e-9)
+
+
+def test_parameters_the_arithmetic_cannot_carry_are_refused():
+    for build in (lambda: CurveSpec.csemm(1e16, 3.0), lambda: CurveSpec.csemm(3.0, 1e16),
+                  lambda: csemm_exponent(1e16), lambda: CurveSpec.ccmm(2e154),
+                  lambda: CurveSpec.ccmm(1.0000001e150), lambda: CurveSpec.ccmm(1e-160),
+                  lambda: CurveSpec.cpmm(1.4e154), lambda: CurveSpec.cpmm(1e-160)):
+        with pytest.raises(ParameterError):
+            build()
+    # The ends of the accepted ranges still build and quote.
+    for spec in (CurveSpec.ccmm(1e150), CurveSpec.ccmm(1e-150), CurveSpec.cpmm(1e150),
+                 CurveSpec.cpmm(1e-150)):
+        assert price_of(spec, state_from_price(spec, 0.7)) == pytest.approx(0.7, rel=1e-9)
+    # c/(c-1) still exceeds 1 in floats just past 2**53.
+    assert csemm_exponent(2.0**53 + 2.0) == math.log(2.0) / math.log(1.0 + 2.0**-52)
+
+
+def test_residual_and_y_past_the_float_range():
+    assert invariant_residual(CurveSpec.ccmm(1.0), 0.0, 1e200) == math.inf
+    with pytest.raises(DomainError, match="off-curve"):
+        price_of(CurveSpec.ccmm(1.0), PoolState(0.0, 1e200))
+    with pytest.raises(DomainError, match="x=1e"):
+        y_from_x(CurveSpec.parabola(4), 1e300)

@@ -51,6 +51,13 @@ def test_gamma_closed_forms():
     )
     assert gamma(CurveSpec.cpmm(2.0), 4.0) == -0.125  # -L / (2 p^{3/2})
     assert gamma(CurveSpec.parabola(2), 1.0) == -0.25  # -2 / (1+p)^3
+    # Where a power of p overflows gamma is -0.0, as where p * p is inf; where
+    # 2 p^(3/2) underflows to zero cpmm divides in two steps.
+    for spec, p in ((CurveSpec.ccmm(1.0), 1e110), (CurveSpec.ccmm(1.0), 1e200),
+                    (CurveSpec.parabola(2), 1e103)):
+        assert math.copysign(1.0, gamma(spec, p)) == -1.0 and gamma(spec, p) == 0.0
+    assert gamma(CurveSpec.cpmm(2.0), 1e-300) == -math.inf
+    assert gamma(CurveSpec.cpmm(1e-150), 1e-300) == -(1e-150 / 2e-300) / 1e-150
 
 
 def test_csemm_gamma_at_fold_by_exponent_regime():

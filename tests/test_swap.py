@@ -154,6 +154,11 @@ def test_cpmm_never_leaves_positive_prices():
         assert result.price_after > 0.0
     with pytest.raises(DomainExceeded):
         quote_exact_in(spec, state, SwapRequest(TOKEN_X, -1.0))  # x' = 0
+    # A new reserve that overflows to inf leaves the branch as well.
+    with pytest.raises(DomainExceeded):
+        execute_swap(spec, PoolState(1e308, 4e-308), SwapRequest(TOKEN_X, 1e308))
+    with pytest.raises(DomainExceeded):
+        execute_swap(spec, PoolState(4e-308, 1e308), SwapRequest(TOKEN_Y, 1e308))
 
 
 def test_price_impact_known_angles():
