@@ -101,7 +101,7 @@ class CurveSpec:
         return cls(family=Family.CPMM, L=float(L))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PoolState:
     """Reserves of one pool.  ``theta`` is the arc angle, ccmm only.
 
@@ -112,6 +112,10 @@ class PoolState:
     x: float
     y: float
     theta: float | None = None
+
+    # Fields stored in one step, not one frozen __setattr__ each (as for every value class).
+    def __init__(self, x: float, y: float, theta: float | None = None):
+        object.__setattr__(self, "__dict__", {"x": x, "y": y, "theta": theta})
 
 
 def csemm_exponent(c: float) -> float:
@@ -320,7 +324,9 @@ def _csemm_price(x: float, a: float, b: float, u_a: float, u_b: float) -> float:
         return 0.0
     lgx = _log_abs_dev(x, a)
     sgn_x = -1.0 if x < a else 1.0
-    inner = -math.expm1(u_a * lgx)  # 1 - |x/a-1|^u_a, in (0, 1)
+    inner = -math.expm1(u_a * lgx)  # 1 - |x/a-1|^u_a, in [0, 1)
+    if inner == 0.0:  # x/a underflows to 0: the branch end's price
+        return math.inf if x < a else -math.inf
     lg_abs_y_dev = math.log(inner) / u_b  # ln|y/b - 1| on the lower branch
     num = u_a * b * math.exp((u_a - 1.0) * lgx) * sgn_x
     den = u_b * a * math.exp((u_b - 1.0) * lg_abs_y_dev) * (-1.0)
@@ -366,19 +372,19 @@ def ccmm_angle_from_price(p: float) -> float:
 
 
 def _csemm_seed(p: float, a: float, b: float, u_a: float, u_b: float):
-    """Newton estimate of z = ln|x/a - 1| at the reserve quoting p.
+    """Halley estimate of z = ln|x/a - 1| at the reserve quoting p.
 
     On the branch of p's sign, ln|p(z)| = ln C + (u_a-1) z - c ln(1 - e^(u_a z))
     with C = u_a b / (u_b a) and c = (u_b-1) / u_b, which is convex and
-    increasing in z < 0.  Newton starts from the root of one asymptote, or
-    from e^(u_a z) = 1/2 where that is nearer: for |p| <= C the z -> -inf
+    increasing in z < 0.  The iteration starts from the root of one asymptote,
+    or from e^(u_a z) = 1/2 where that is nearer: for |p| <= C the z -> -inf
     asymptote, whose root lies right of the root; for |p| > C the z -> 0 one,
-    whose root lies left of it.  By convexity a step from the left lands right
-    of the root and still below zero, and from there the iterates fall
-    monotonically.  Returns (z, slope, size): slope = d ln|p| / dz, and size
-    bounds the two z terms, which sets the rounding error of the price
-    expression.  Returns None when p is out of reach of an exponent-1 member,
-    sits on the boundary of that reach, or the iteration fails.
+    whose root lies left of it.  Each step is Halley's, or Newton's where
+    Halley's correction to it is large; an iterate at z >= 0 ends the search.
+    Returns (z, slope, size, x0): slope = d ln|p| / dz, size bounds the two z
+    terms, which sets the rounding error of the price expression, and x0 is
+    the reserve at z.  Returns None when p is out of reach of an exponent-1
+    member, sits on the boundary of that reach, or the iteration fails.
     """
     c = (u_b - 1.0) / u_b
     q = math.log(abs(p) * u_b * a / (u_a * b))  # ln(|p| / C)
@@ -391,18 +397,22 @@ def _csemm_seed(p: float, a: float, b: float, u_a: float, u_b: float):
                     else math.log1p(-math.exp(-w))) / u_a)
     else:
         return None
-    for _ in range(40):  # it takes at most about five steps
+    for _ in range(40):  # it takes at most about four steps
         if not z < 0.0:
             return None
         em = -math.expm1(u_a * z)  # 1 - e^(u_a z)
         a_term = (1.0 - u_a) * z
         b_term = -c * math.log(em)
         f = b_term - a_term - q
-        slope = (u_a - 1.0) + c * u_a * (1.0 - em) / em
+        g = c * u_a * (1.0 - em) / em
+        slope = (u_a - 1.0) + g
         size = a_term + b_term + 8.0
         if abs(f) <= 2.0**-48 * size:
-            return z, slope, size
-        z -= f / slope
+            d0 = -a * math.expm1(z)  # distance a(1 - e^z) from p's branch end
+            return z, slope, size, (d0 if p > 0.0 else 2.0 * a - d0)
+        # Halley: Newton's step over 1 - h, h = f f''/(2 f'^2) with f'' = u_a g / em
+        h = 0.5 * f * (u_a / slope) * (g / slope) / em
+        z -= f / slope / (1.0 - h) if abs(h) < 0.5 else f / slope
     return None
 
 
@@ -423,7 +433,7 @@ def _csemm_fence(p: float, delta: float, left: bool, seed, a: float, b: float,
     relative to the price, fl(x/a), moves the reserve x (or 2a - x) by half
     an ulp, which the shift by 2**-50 of that reserve covers.
     """
-    z, slope, size = seed
+    z, slope, size, x0 = seed
     gap = 2.0**-46 * size
     r = delta / abs(p) + 4.0 * gap  # wanted relative offset of |price| from |p|
     if left == (p > 0.0):  # |price| grows with z, and away from the root here
@@ -433,18 +443,17 @@ def _csemm_fence(p: float, delta: float, left: bool, seed, a: float, b: float,
     else:
         return -math.inf if left else math.inf
     # d = a(1 - e^z) is the distance from the branch end on p's side of the fold
-    d0 = -a * math.expm1(z)
     d = -a * math.expm1(min(z + dz, 0.0))  # z = 0 is the branch end
     two_a = 2.0 * a
     if p < 0.0:
-        d0, d = two_a - d0, two_a - d
+        d = two_a - d
     margin = delta + gap * (abs(p) + delta)
     if left:
-        f = min(d, d0 - math.ulp(d0))
+        f = min(d, x0 - math.ulp(x0))
         if 0.0 <= f and _csemm_price(f, a, b, u_a, u_b) - p > margin:
             return f - 2.0**-50 * min(f, two_a - f)
         return -math.inf
-    f = max(d, d0 + math.ulp(d0))
+    f = max(d, x0 + math.ulp(x0))
     if f <= two_a and p - _csemm_price(f, a, b, u_a, u_b) > margin:
         return f + 2.0**-50 * min(f, two_a - f)
     return math.inf
@@ -467,7 +476,7 @@ def csemm_x_from_price(
     That float is reproduced exactly with a fraction of the price
     evaluations:
 
-    1. Seed: Newton on z = ln|x/alpha - 1|, in which ln|p| is convex and
+    1. Seed: Halley on z = ln|x/alpha - 1|, in which ln|p| is convex and
        increasing, from the root of an asymptote (``_csemm_seed``).
     2. Fences: the price at a reserve just either side of the seed.  A fence
        counts only if its price misses p by far more than the price
@@ -505,22 +514,25 @@ def csemm_x_from_price(
     lo, hi = 0.0, 2.0 * alpha  # price(lo) = +inf, price(hi) = -inf
     wide = max(tol, 4.0 * math.ulp(hi))  # no wider bracket passes the exit test
     x = 0.5 * (lo + hi)
-    # Halvings of a wide bracket outside the fences, walked bare: such a
-    # bracket spans over 4 ulp, so no midpoint can exhaust it.
+    # Halvings outside the fences, walked bare while the bracket is surely wide:
+    # after k halvings it spans 2a 2^-k to within ulp(2a) <= wide / 4 (each midpoint
+    # rounds by at most ulp(2a) / 2), so while 2^k <= a / wide it is over 1.7 wide,
+    # not narrow, and no midpoint can exhaust it.  The replay takes the rest.
+    walk = min(max_iter, math.frexp(hi / wide)[1] - 2)
     done = 0
-    for done in range(max_iter):
-        if hi - lo <= wide or cl < x < cr:
-            break
+    for done in range(walk):
         if x <= cl:
             lo = x
-        else:
+        elif x >= cr:
             hi = x
+        else:
+            break
         x = 0.5 * (lo + hi)
     else:
-        done = max_iter
+        done = max(walk, 0)
     for _ in range(max_iter - done):
         width = hi - lo
-        narrow = width <= wide and width <= max(tol, 4.0 * math.ulp(x))
+        narrow = width <= wide and (width <= tol or width <= 4.0 * math.ulp(x))
         if cl < x < cr or narrow and bl < x < br:
             px = _csemm_price(x, a, b, u_a, u_b)
             if narrow:
@@ -617,7 +629,9 @@ class _Record:
     constants, stored on it as ``_consts`` when it is built.  Entries call
     private kernels, which only compute and trust the spec and their arguments,
     or name public functions at call time and never store them, so a patched or
-    wrapped module attribute is what runs.
+    wrapped module attribute is what runs.  csemm's ``at_price`` builds its
+    state from the inverted x without a second range check: every bisection
+    midpoint lies in [0, 2 alpha].
     """
 
     params: dict
@@ -795,7 +809,8 @@ _FAMILIES: dict[Family, _Record] = {
         y=_csemm_y,
         x_of_y=_csemm_x_of_y,
         price=lambda s, x: _csemm_price(x, s.alpha, s.beta, *s._consts),
-        at_price=lambda s, p: state_from_x(s, csemm_x_from_price(p, s.alpha, s.beta)),
+        at_price=lambda s, p: PoolState(x := csemm_x_from_price(p, s.alpha, s.beta),
+                                        _csemm_y(s, x, "lower")),
         gamma=_csemm_gamma,
         derive=lambda s: (csemm_exponent(s.alpha), csemm_exponent(s.beta)),
     ),

@@ -39,7 +39,7 @@ SQRTPRICE = "sqrtprice"
 TICK = "tick"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FingerprintSample:
     """One point of a liquidity fingerprint.
 
@@ -50,6 +50,10 @@ class FingerprintSample:
     coord: float
     density: float
     domain_sign: str = POSITIVE
+
+    def __init__(self, coord: float, density: float, domain_sign: str = POSITIVE):
+        object.__setattr__(self, "__dict__", {"coord": coord, "density": density,
+                                              "domain_sign": domain_sign})
 
 
 def _domain_sign(domain: str) -> float:

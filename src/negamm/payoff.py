@@ -24,7 +24,7 @@ from .curves import CurveSpec
 from .errors import DomainError, ParameterError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GreeksPoint:
     """Payoff and sensitivities of one curve at one price."""
 
@@ -33,6 +33,10 @@ class GreeksPoint:
     delta: float
     gamma: float
     theta: float
+
+    def __init__(self, p: float, value: float, delta: float, gamma: float, theta: float):
+        object.__setattr__(self, "__dict__", {"p": p, "value": value, "delta": delta,
+                                              "gamma": gamma, "theta": theta})
 
 
 def lp_value(spec: CurveSpec, p: float) -> float:

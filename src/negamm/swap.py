@@ -37,7 +37,7 @@ class SwapRequest:
     fee: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SwapResult:
     """Outcome of one exact-input trade; ``new_state`` is where it leaves the pool."""
 
@@ -46,6 +46,12 @@ class SwapResult:
     price_after: float
     residual_after: float
     new_state: PoolState
+
+    def __init__(self, amount_out: float, price_before: float, price_after: float,
+                 residual_after: float, new_state: PoolState):
+        object.__setattr__(self, "__dict__", {
+            "amount_out": amount_out, "price_before": price_before, "price_after": price_after,
+            "residual_after": residual_after, "new_state": new_state})
 
 
 def _validate_request(req: SwapRequest) -> None:

@@ -600,3 +600,13 @@ def test_float_range_overflow_reaches_no_caller():
         code, out, err = invoke(argv)
         assert code == 1, argv
         assert err.startswith("error: ") and err.count("\n") == 1 and reason in err
+
+
+def test_denormal_csemm_reserve_swaps_without_traceback():
+    # At x = 5e-324 the price's 1 - |x/alpha - 1|^u underflows to 0; the
+    # branch end quotes +inf, and no bare ValueError may leave run().
+    argv = ["swap", "--family", "csemm", "--alpha", "3", "--beta", "4", "--x", "5e-324",
+            "--token-in", "x", "--amount-in", "0.1"]
+    code, out, err = invoke(argv)
+    assert code == 0 and "Traceback" not in err
+    assert rows_of(out)[1][1:2] == ["inf"]  # price_before, the branch end's

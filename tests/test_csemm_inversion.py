@@ -8,6 +8,7 @@ is refused with DomainError instead of ConvergenceError.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,9 +18,12 @@ from negamm import (
     ConvergenceError,
     CurveSpec,
     DomainError,
+    NegammError,
     ParameterError,
     csemm_exponent,
     csemm_x_from_price,
+    state_from_price,
+    state_from_x,
 )
 from negamm.curves import _price_from_x
 from conftest import CIRCLE_PARAM
@@ -186,3 +190,22 @@ def test_out_of_reach_prices_refused_with_domain_error(p, alpha, beta):
 def test_reachable_exponent_one_prices_keep_their_bits(p, alpha, beta, x):
     assert _bisect_reference(p, alpha, beta) == x
     assert csemm_x_from_price(p, alpha, beta) == x
+
+
+@pytest.mark.parametrize("alpha, beta", PAIRS)
+def test_state_from_price_is_the_checked_state_at_the_inverted_reserve(alpha, beta):
+    # state_from_price builds its csemm state without re-checking the reserve;
+    # it must be the state the checked path builds, bit for bit, or its refusal.
+    spec = CurveSpec.csemm(alpha, beta)
+    for t in np.linspace(-12.0, 12.0, 121):
+        for sign in (1.0, -1.0):
+            p = sign * math.exp(float(t))
+            try:
+                want = state_from_x(spec, csemm_x_from_price(p, alpha, beta))
+            except NegammError as err:
+                with pytest.raises(type(err), match=re.escape(str(err))):
+                    state_from_price(spec, p)
+                continue
+            got = state_from_price(spec, p)
+            assert type(got) is type(want)
+            assert (got.x.hex(), got.y.hex(), got.theta) == (want.x.hex(), want.y.hex(), want.theta)

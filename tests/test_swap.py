@@ -393,3 +393,24 @@ def test_upper_branch_state_is_not_traded():
     for req in BOTH_TOKENS:
         with pytest.raises(DomainError, match="upper"):
             execute_swap(spec, state, req)
+
+
+@pytest.mark.parametrize("alpha, beta", [(3.0, 4.0), (2.0, 2.0), (8.0, 2.5)])
+def test_csemm_branch_ends_quote_and_trade_inward(alpha, beta):
+    # At x = 5e-324, x/alpha underflows to 0, so 1 - |x/alpha - 1|^u is 0 and
+    # has no log: the price is the branch end's, +inf.
+    spec = CurveSpec.csemm(alpha, beta)
+    low = state_from_x(spec, 5e-324)
+    high = state_from_x(spec, math.nextafter(2.0 * alpha, 0.0))
+    assert price_of(spec, low) == math.inf
+    assert -math.inf < price_of(spec, high) < 0.0
+    for state in (low, high):
+        # Inward: x in at the low end, x out at the high end; y out at both.
+        inward = ((TOKEN_X, 0.1 if state is low else -0.1), (TOKEN_Y, -0.1))
+        for token, amount in inward:
+            new_state, result = execute_swap(spec, state, SwapRequest(token, amount))
+            assert result.price_before == price_of(spec, state)
+            assert math.isfinite(result.price_after)
+            assert 0.0 < new_state.x < 2.0 * alpha
+            with pytest.raises(DomainExceeded):
+                execute_swap(spec, state, SwapRequest(token, -amount))
