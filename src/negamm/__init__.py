@@ -1,5 +1,7 @@
 """negamm: invariants, swaps and analytics for negative-price AMMs."""
 
+from types import ModuleType as _ModuleType
+
 from .curves import (
     CurveSpec,
     Family,
@@ -76,73 +78,6 @@ from .swap import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ARITHMETIC_DIFF",
-    "PERCENT",
-    "NEGATIVE",
-    "POSITIVE",
-    "TOKEN_X",
-    "TOKEN_Y",
-    "ConvergenceError",
-    "CurveSpec",
-    "DomainError",
-    "DomainExceeded",
-    "Family",
-    "FingerprintSample",
-    "GreeksPoint",
-    "InsufficientDataError",
-    "InvalidFee",
-    "MonotonicityError",
-    "NegammError",
-    "ParameterError",
-    "PoolState",
-    "PriceSeries",
-    "ReturnSeries",
-    "SeriesError",
-    "SeriesParseError",
-    "SwapRequest",
-    "SwapResult",
-    "YearStats",
-    "ccmm_angle_from_price",
-    "ccmm_liquidity_sqrtprice",
-    "ccmm_liquidity_tick",
-    "ccmm_y_from_x",
-    "central_difference",
-    "circle_angle_of_price",
-    "circle_map",
-    "cpmm_liquidity",
-    "cpmm_x_from_price",
-    "cpmm_y_from_x",
-    "csemm_exponent",
-    "csemm_x_from_price",
-    "csemm_y_from_x",
-    "delta",
-    "execute_swap",
-    "fold_x",
-    "gamma",
-    "gaussian_fingerprint",
-    "greeks",
-    "hill_tail_index",
-    "invariant_residual",
-    "load_series",
-    "lp_value",
-    "negative_price_stats",
-    "numeraire_reserve",
-    "numeric_fingerprint",
-    "parabola_liquidity_sqrtprice",
-    "parabola_liquidity_tick",
-    "parabola_x_from_price",
-    "parabola_y_from_x",
-    "price_impact",
-    "price_of",
-    "quote_exact_in",
-    "residual_scale",
-    "returns",
-    "squared_returns",
-    "state_from_price",
-    "state_from_x",
-    "tail_index",
-    "theta",
-    "x_from_y_on_side",
-    "y_from_x",
-]
+# The public names are the ones imported above; no submodule, no _-prefixed name.
+__all__ = [name for name, obj in globals().items()
+           if not name.startswith("_") and not isinstance(obj, _ModuleType)]

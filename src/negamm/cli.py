@@ -55,8 +55,7 @@ def _parse_grid(text: str) -> list[float]:
 
 def _spec_from_args(args, parser: argparse.ArgumentParser) -> CurveSpec:
     rec = curves._FAMILIES[Family(args.family)]
-    given = {name: getattr(args, name) for name in rec.params}
-    values = {name: rec.defaults.get(name) if v is None else v for name, v in given.items()}
+    values = {name: getattr(args, name) for name in rec.params}
     if None in values.values():
         required = [f"--{name}" for name in rec.params if name not in rec.defaults]
         verb = "is" if len(required) == 1 else "are"
@@ -192,7 +191,7 @@ def _parse_compare_spec(text: str, parser):
     """family:key=value[,key=value...]; 'gaussian:mu=..,sigma=..,mass=..' allowed."""
     name, _, rest = text.partition(":")
     if name == "gaussian":
-        params, values = dict.fromkeys(("mu", "sigma", "mass"), float), {}
+        params, values = dict.fromkeys(("mu", "sigma", "mass"), (float, "")), {}
     elif name in _FAMILY_NAMES:
         rec = curves._FAMILIES[Family(name)]
         params, values = rec.params, dict(rec.defaults)
@@ -202,15 +201,13 @@ def _parse_compare_spec(text: str, parser):
         key, eq, val = (piece.strip() for piece in part.partition("="))
         if not eq:
             parser.error(f"bad spec {text!r}: expected key=value, got {part!r}")
-        try:
-            num = float(val)
-        except ValueError:
-            parser.error(f"bad spec {text!r}: {val!r} is not a number")
         if key not in params:
             parser.error(f"bad spec {text!r}: unknown parameter {key!r}")
-        if params[key] is int and not num.is_integer():
-            parser.error(f"bad spec {text!r}: {key} must be an integer, got {num!r}")
-        values[key] = params[key](num)
+        kind = params[key][0]
+        try:
+            values[key] = kind(val)
+        except ValueError:
+            parser.error(f"bad spec {text!r}: invalid {kind.__name__} value for {key}: {val!r}")
     missing = [key for key in params if key not in values]
     if missing:
         parser.error(f"bad spec {text!r}: missing parameter {missing[0]!r}")
@@ -278,11 +275,9 @@ def _add_common(sub, command, needs_family: bool, needs_grid: bool) -> None:
     """
     sub.set_defaults(run=command)
     sub.add_argument("--family", choices=_FAMILY_NAMES, required=needs_family)
-    sub.add_argument("--k", type=float, help="ccmm radius/offset")
-    sub.add_argument("--alpha", type=float, help="csemm x-axis crossing")
-    sub.add_argument("--beta", type=float, help="csemm y-axis crossing")
-    sub.add_argument("--m", type=int, help="parabola exponent (even, default 2)")
-    sub.add_argument("--L", type=float, help="cpmm liquidity parameter")
+    for rec in curves._FAMILIES.values():
+        for name, (kind, text) in rec.params.items():
+            sub.add_argument(f"--{name}", type=kind, help=text, default=rec.defaults.get(name))
     sub.add_argument(
         "--grid",
         type=_parse_grid if needs_grid else str,

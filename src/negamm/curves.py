@@ -23,11 +23,11 @@ the price of token X in units of token Y.
 Everything the package knows about a family sits in its record in
 ``_FAMILIES`` at the end of this module: parameters, branch bounds, fold,
 y(x), x(y, side), p(x), the state at a price and gamma = dx/dp.  The generic
-functions and the other modules read the records.  A spec validates its
-parameters and computes its derived constants (csemm: u(alpha) and u(beta))
-once, when it is built.  The record's bounds are the only statement of each
-reserve range: the generic functions check reserves, branch names and prices
-once (``_within``, ``y_from_x``, ``state_from_price``), and the kernels only compute.
+functions and the other modules read the records.  A spec reads its parameters
+through the record, checks them and computes its derived constants once, when
+it is built.  The record's bounds are the only statement of each reserve range:
+reserves, states, branch names and prices are checked once (``_within``,
+``_priced``, ``y_from_x``, ``state_from_price``), and the kernels only compute.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class Family(str, Enum):
 class CurveSpec:
     """Immutable description of one pool's invariant.
 
-    Only the fields relevant to ``family`` are set; the rest stay None.
-    Use the classmethod constructors rather than filling fields by hand.
+    Only the fields relevant to ``family`` are set; the rest stay None.  Each is
+    read through its family record's ``params``: a float, or an exact int for m.
     """
 
     family: Family
@@ -80,25 +80,29 @@ class CurveSpec:
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
         rec = _FAMILIES[self.family]
+        for name, (kind, _) in rec.params.items():
+            try:
+                object.__setattr__(self, name, kind(getattr(self, name)))
+            except (TypeError, ValueError, OverflowError):
+                pass  # None, or no value of its kind: left as given for rec.check to refuse
         rec.check(self)
         object.__setattr__(self, "_consts", rec.derive(self))  # not a field
 
     @classmethod
     def ccmm(cls, k: float) -> "CurveSpec":
-        return cls(family=Family.CCMM, k=float(k))
+        return cls(Family.CCMM, k=k)
 
     @classmethod
     def csemm(cls, alpha: float, beta: float) -> "CurveSpec":
-        return cls(family=Family.CSEMM, alpha=float(alpha), beta=float(beta))
+        return cls(Family.CSEMM, alpha=alpha, beta=beta)
 
     @classmethod
     def parabola(cls, m: int = 2) -> "CurveSpec":
-        # A non-integral m reaches the check as given, which refuses it.
-        return cls(family=Family.PARABOLA, m=int(m) if m == int(m) else m)
+        return cls(Family.PARABOLA, m=m)
 
     @classmethod
     def cpmm(cls, L: float) -> "CurveSpec":
-        return cls(family=Family.CPMM, L=float(L))
+        return cls(Family.CPMM, L=L)
 
 
 @dataclass(frozen=True, init=False)
@@ -337,27 +341,25 @@ def price_of(spec: CurveSpec, state: PoolState) -> float:
     """Marginal price of token X in Y units at the given on-curve state.
 
     Positive left of the fold, exactly zero at it, negative beyond it;
-    +/-inf at the arc endpoints.  Raises DomainError when the state's
-    residual exceeds 1e-9 times the curve scale, or when a ccmm or csemm
-    state lies on the upper (plotting) branch: y above the trading branch
-    away from the endpoints, where both branches meet and p is infinite.
+    +/-inf at the arc endpoints.  Raises DomainError when the state's residual
+    exceeds 1e-9 times the curve scale, when its x is off the branch (cpmm too),
+    or when a ccmm or csemm state is on the upper (plotting) branch: y above the
+    trading branch away from the endpoints, where both branches meet.
     """
-    price = _priced(spec, state)[0]
-    rec = _FAMILIES[spec.family]
-    if rec.upper_branch and state.y > rec.y_bounds(spec, "left")[1] and math.isfinite(price):
-        raise DomainError(f"state ({state.x}, {state.y}) is on the upper (plotting) branch")
-    return price
+    return _priced(spec, state)[0]
 
 
 def _priced(spec: CurveSpec, state: PoolState) -> tuple[float, float]:
-    """(price, residual) of an on-curve state; see price_of."""
+    """(price, residual) of a state: the one check of a pool state; see price_of."""
     rec = _FAMILIES[spec.family]
     res = invariant_residual(spec, state.x, state.y)
     if not abs(res) <= _RESIDUAL_TOL * rec.scale(spec):  # a NaN reserve fails too
-        raise DomainError(
-            f"state ({state.x}, {state.y}) is off-curve: residual {res:.3e}"
-        )
-    return rec.state_price(spec, state), res
+        raise DomainError(f"state ({state.x}, {state.y}) is off-curve: residual {res:.3e}")
+    _within(spec, state.x, rec.x_bounds(spec), "x")
+    price = rec.state_price(spec, state)
+    if rec.upper_branch and state.y > rec.y_bounds(spec, "left")[1] and math.isfinite(price):
+        raise DomainError(f"state ({state.x}, {state.y}) is on the upper (plotting) branch")
+    return price, res
 
 
 def ccmm_angle_from_price(p: float) -> float:
@@ -621,17 +623,17 @@ def state_from_price(spec: CurveSpec, p: float) -> PoolState:
 class _Record:
     """Everything the package knows about one family; callables take the spec first.
 
-    ``params`` maps the CurveSpec fields used to their type, in constructor
-    order.  Branch reserves lie in [lo, hi] of ``x_bounds`` / ``y_bounds``
-    (default [0, inf)), or (lo, hi] when ``open_low``: the only statement of
-    each range, which ``_within`` checks before any kernel runs.  ``gamma(spec,
-    p, x)`` gets the x quoting p.  ``derive`` returns the spec's derived
-    constants, stored on it as ``_consts`` when it is built.  Entries call
-    private kernels, which only compute and trust the spec and their arguments,
-    or name public functions at call time and never store them, so a patched or
-    wrapped module attribute is what runs.  csemm's ``at_price`` builds its
-    state from the inverted x without a second range check: every bisection
-    midpoint lies in [0, 2 alpha].
+    ``params`` maps the CurveSpec fields used to (kind, help), in constructor
+    order: the one reading of each, by the spec and the CLI.  Branch reserves
+    lie in [lo, hi] of ``x_bounds`` / ``y_bounds`` (default [0, inf)), or (lo,
+    hi] when ``open_low``: the only statement of each range, which ``_within``
+    checks before any kernel runs.  ``gamma(spec, p, x)`` gets the x quoting p.
+    ``derive`` returns the spec's derived constants, stored on it as ``_consts``
+    when it is built.  Entries call private kernels, which only compute and
+    trust the spec and their arguments, or name public functions at call time
+    and never store them, so a patched or wrapped module attribute is what
+    runs.  csemm's ``at_price`` builds its state from the inverted x without a
+    second range check: every bisection midpoint lies in [0, 2 alpha].
     """
 
     params: dict
@@ -650,7 +652,7 @@ class _Record:
     y_bounds: Callable = lambda spec, side: (0.0, math.inf)
     fold: Callable = lambda spec: None
     scale: Callable = lambda spec: 1.0
-    state_price: Callable = lambda spec, state: _price_from_x(spec, state.x)
+    state_price: Callable = lambda spec, state: _FAMILIES[spec.family].price(spec, state.x)
     theta: Callable | None = None  # arc angle of a state, ccmm only
     derive: Callable = lambda spec: None
 
@@ -660,8 +662,8 @@ def _require(spec: CurveSpec, lo: float, strict: bool, *names: str,
     """Each named parameter is finite, > lo (strict) or >= lo, and with ``size``
     in [_SIZE_MIN, _SIZE_MAX]."""
     for name in names:
-        val = getattr(spec, name)
-        if val is None or not math.isfinite(val) or (val <= lo if strict else val < lo):
+        val = getattr(spec, name)  # a float, or what rec.params could not read
+        if not isinstance(val, float) or not lo <= val < math.inf or strict and val == lo:
             rule = f"{name} {'>' if strict else '>='} {lo:g}"
         elif size and not _SIZE_MIN <= val <= _SIZE_MAX:
             rule = f"{_SIZE_MIN:g} <= {name} <= {_SIZE_MAX:g}"
@@ -749,8 +751,20 @@ def _csemm_gamma(spec: CurveSpec, p: float, x: float) -> float:
     return 1.0 / dpdx if dpdx else -math.inf
 
 
+def _integer(value) -> int:
+    """An integral value as an exact int, never via float: 2, 2.0 and '2.0' read 2."""
+    if str(value).strip().lstrip("+-").isdigit():
+        return int(value)
+    if not float(value).is_integer():  # 2.5, +/-inf and NaN
+        raise ValueError(f"{value!r} is not an integer")
+    return int(float(value))
+
+
+_integer.__name__ = "integer"  # argparse names the kind of a flag it refuses
+
+
 def _parabola_m(m: int | None) -> None:
-    if m is None or not isinstance(m, int) or m < 2 or m % 2 != 0:
+    if not isinstance(m, int) or m < 2 or m % 2 != 0:
         raise ParameterError(f"parabola requires even integer m >= 2, got m={m}")
 
 
@@ -768,7 +782,7 @@ def _parabola_price(spec: CurveSpec, x: float) -> float:
 
 _FAMILIES: dict[Family, _Record] = {
     Family.CPMM: _Record(
-        params={"L": float},
+        params={"L": (float, "cpmm liquidity parameter")},
         check=lambda s: _require(s, 0.0, True, "L", size=True),
         open_low=True,
         scale=lambda s: s.L * s.L,
@@ -783,7 +797,7 @@ _FAMILIES: dict[Family, _Record] = {
         else -(s.L / (2.0 * p)) / math.sqrt(p),
     ),
     Family.CCMM: _Record(
-        params={"k": float},
+        params={"k": (float, "ccmm radius/offset")},
         check=lambda s: _require(s, 0.0, True, "k", size=True),
         x_bounds=lambda s: (0.0, 2.0 * s.k),
         y_bounds=lambda s, side: (0.0, s.k),
@@ -799,7 +813,8 @@ _FAMILIES: dict[Family, _Record] = {
         gamma=lambda s, p, x: -s.k / (1.0 + p * p) ** 1.5,
     ),
     Family.CSEMM: _Record(
-        params={"alpha": float, "beta": float},
+        params={"alpha": (float, "csemm x-axis crossing"),
+                "beta": (float, "csemm y-axis crossing")},
         check=lambda s: _require(s, 2.0, False, "alpha", "beta"),
         x_bounds=lambda s: (0.0, 2.0 * s.alpha),
         y_bounds=lambda s, side: (0.0, s.beta),
@@ -815,7 +830,7 @@ _FAMILIES: dict[Family, _Record] = {
         derive=lambda s: (csemm_exponent(s.alpha), csemm_exponent(s.beta)),
     ),
     Family.PARABOLA: _Record(
-        params={"m": int},
+        params={"m": (_integer, "parabola exponent (even, default 2)")},
         defaults={"m": 2},
         check=lambda s: _parabola_m(s.m),
         y_bounds=lambda s, side: (0.0, 1.0 if side == "left" else math.inf),

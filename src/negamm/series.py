@@ -111,7 +111,7 @@ def returns(
 
     ``arithmetic_diff``: r_i = p_i - p_{i-1}; always defined, and the
     cumulative sum rebuilds the series from its first price.  ``percent``:
-    r_i = (p_i - p_{i-1}) / |p_{i-1}|, with pairs whose base is within
+    r_i = (p_i - p_{i-1}) / |p_{i-1}|, with pairs whose base is zero or within
     ``eps`` of zero skipped and counted.
     """
     if mode not in (ARITHMETIC_DIFF, PERCENT):
@@ -130,7 +130,7 @@ def returns(
     skipped = 0
     for i in range(1, len(series)):
         base = series.prices[i - 1]
-        if abs(base) < eps:
+        if abs(base) < eps or base == 0.0:  # whatever eps is, even NaN
             skipped += 1
             continue
         dates.append(series.dates[i])
