@@ -111,8 +111,11 @@ class PoolState:
 
     On the ccmm trading arc theta runs through [pi, 2*pi]:
     x = k*(1+cos(theta)), y = k*(1+sin(theta)), price p = cot(theta).
+
+    A traded state keeps its check in the slot ``_checked``, not a field; see ``_priced``.
     """
 
+    __slots__ = ("__dict__", "__weakref__", "_checked")
     x: float
     y: float
     theta: float | None = None
@@ -120,6 +123,9 @@ class PoolState:
     # Fields stored in one step, not one frozen __setattr__ each (as for every value class).
     def __init__(self, x: float, y: float, theta: float | None = None):
         object.__setattr__(self, "__dict__", {"x": x, "y": y, "theta": theta})
+
+    def __reduce__(self):  # copies and pickles: the fields only, never _checked
+        return type(self), (self.x, self.y, self.theta)
 
 
 def csemm_exponent(c: float) -> float:
@@ -350,7 +356,14 @@ def price_of(spec: CurveSpec, state: PoolState) -> float:
 
 
 def _priced(spec: CurveSpec, state: PoolState) -> tuple[float, float]:
-    """(price, residual) of a state: the one check of a pool state; see price_of."""
+    """(price, residual) of a state: the one check of a pool state; see price_of.
+
+    swap.quote_exact_in stores (spec, (price, residual)) in a state it returns, and
+    that pair is returned for that very spec object; any other spec gets the full check.
+    """
+    checked = getattr(state, "_checked", None)
+    if checked is not None and checked[0] is spec:
+        return checked[1]
     rec = _FAMILIES[spec.family]
     res = invariant_residual(spec, state.x, state.y)
     if not abs(res) <= _RESIDUAL_TOL * rec.scale(spec):  # a NaN reserve fails too

@@ -57,9 +57,9 @@ class YearStats:
 def load_series(path) -> PriceSeries:
     """Read a ``date,price`` CSV into a PriceSeries.
 
-    Errors name the offending row (1-based, header included) and column.
+    Errors name the offending row (1-based, header included) and column; a UTF-8 BOM is skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise SeriesError(f"{path}: empty series (no header row)")

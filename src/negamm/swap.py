@@ -12,7 +12,7 @@ Sign conventions:
 
 Trades that would step off the trading branch are rejected with
 DomainExceeded rather than clamped, so the pool never quotes beyond its
-price asymptotes.  All functions are pure; states are never mutated.
+price asymptotes.  All functions are pure; no state is mutated once returned.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ def quote_exact_in(spec: CurveSpec, state: PoolState, req: SwapRequest) -> SwapR
     _validate_request(req)
     price_before = curves.price_of(spec, state)
     new_state = _traverse(spec, state, req)
-    price_after, residual = curves._priced(spec, new_state)
+    price_after, residual = checked = curves._priced(spec, new_state)
+    object.__setattr__(new_state, "_checked", (spec, checked))  # not yet seen by any caller
     if req.token_in == TOKEN_X:
         amount_out = state.y - new_state.y
     else:

@@ -610,3 +610,16 @@ def test_denormal_csemm_reserve_swaps_without_traceback():
     code, out, err = invoke(argv)
     assert code == 0 and "Traceback" not in err
     assert rows_of(out)[1][1:2] == ["inf"]  # price_before, the branch end's
+
+
+def test_analyze_reads_a_csv_with_a_utf8_bom(tmp_path):
+    # Excel writes CSV as UTF-8 with a byte-order mark and CRLF line ends.
+    text = Path(FIXTURE).read_text(encoding="utf-8").replace("\n", "\r\n")
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    for stat in ("negative-days", "returns", "squared-returns", "hill"):
+        outs = [invoke(["analyze", "--input", str(path), "--stat", stat, "--top-k", "3"])
+                for path in (plain, bom)]
+        assert outs[0][0] == 0 and outs[0][1]
+        assert outs[1] == outs[0]

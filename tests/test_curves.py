@@ -581,3 +581,16 @@ def test_residual_and_y_past_the_float_range():
         price_of(CurveSpec.ccmm(1.0), PoolState(0.0, 1e200))
     with pytest.raises(DomainError, match="x=1e"):
         y_from_x(CurveSpec.parabola(4), 1e300)
+
+
+@pytest.mark.parametrize("alpha", [3.0, 2.0])
+def test_beta_two_branch_ends_quote_infinity_by_convention(alpha):
+    # A beta = 2 member quotes |p| <= C = u(alpha) beta / (u(beta) alpha) along
+    # its branch and tends to +/-C at the ends, where the branch meets the
+    # bounding line; the end states themselves quote +/-inf, as every branch end does.
+    spec = CurveSpec.csemm(alpha, 2.0)
+    c = csemm_exponent(alpha) * 2.0 / (csemm_exponent(2.0) * alpha)
+    assert price_of(spec, state_from_x(spec, 0.0)) == math.inf
+    assert price_of(spec, state_from_x(spec, 2.0 * alpha)) == -math.inf
+    near = price_of(spec, state_from_x(spec, 1e-12))
+    assert near == pytest.approx(c, rel=1e-12) and near <= c

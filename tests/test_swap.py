@@ -1,6 +1,7 @@
 """Swap engine: traversal, fees, domain policing, and the zero-price fold."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from negamm import (
     DomainError,
     DomainExceeded,
     InvalidFee,
+    NegammError,
     ParameterError,
     PoolState,
     invariant_residual,
@@ -414,3 +416,81 @@ def test_csemm_branch_ends_quote_and_trade_inward(alpha, beta):
             assert 0.0 < new_state.x < 2.0 * alpha
             with pytest.raises(DomainExceeded):
                 execute_swap(spec, state, SwapRequest(token, -amount))
+
+
+# ------------------------------------------------- chains of trades (stored check)
+
+CHAIN_SPECS = [CurveSpec.ccmm(1.0), CurveSpec.csemm(3.0, 4.0),
+               CurveSpec.csemm(CIRCLE_PARAM, CIRCLE_PARAM), CurveSpec.csemm(2.0, 3.0),
+               CurveSpec.cpmm(1.0), CurveSpec.parabola(2)]
+
+
+def _outcome(fn, *args):
+    """Every float of a result as float.hex, or the refusal's class and text."""
+    try:
+        result = fn(*args)
+    except NegammError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, tuple):  # execute_swap's (new_state, result)
+        result = result[1]
+    s = result.new_state
+    return tuple(float.hex(v) for v in (result.amount_out, result.price_before,
+                                        result.price_after, result.residual_after, s.x, s.y)
+                 ) + (s.theta if s.theta is None else float.hex(s.theta),)
+
+
+@pytest.mark.parametrize("spec", CHAIN_SPECS, ids=repr)
+def test_chained_trades_match_the_same_trades_on_fresh_states(spec):
+    rng = random.Random(f"chain:{spec!r}")
+    hi = 2.0 * (spec.k or spec.alpha or 0.5)  # the ccmm and csemm x span; 1.0 otherwise
+    state = state_from_x(spec, 0.3 * hi)
+    refused, signs = 0, set()
+    for _ in range(240):
+        token = rng.choice((TOKEN_X, TOKEN_Y))
+        reach = state.x if spec.family.value == "cpmm" else hi
+        amount = rng.uniform(-0.6, 0.6) * reach * (3.0 if rng.random() < 0.1 else 1.0)
+        req = SwapRequest(token, amount, rng.choice((0.0, 0.003)))
+        fresh = PoolState(state.x, state.y, state.theta)
+        assert price_of(spec, state) == price_of(spec, fresh)
+        for fn in (quote_exact_in, execute_swap):
+            assert _outcome(fn, spec, state, req) == _outcome(fn, spec, fresh, req), (state, req)
+        try:
+            state, result = execute_swap(spec, state, req)
+        except NegammError:
+            refused += 1
+            continue
+        signs.add(math.copysign(1.0, result.price_after))
+    assert refused > 0
+    assert signs == ({1.0} if spec.family.value == "cpmm" else {1.0, -1.0})
+
+
+def test_execute_on_a_traded_state_computes_one_residual(monkeypatch):
+    from negamm import curves
+
+    calls = _count_calls(monkeypatch, curves, "invariant_residual")
+    for spec in ALL_FAMILIES:
+        for req in BOTH_TOKENS:
+            state, _ = execute_swap(spec, state_from_x(spec, 0.5), req)
+            calls[0] = 0
+            execute_swap(spec, state, req)
+            assert calls[0] == 1, (spec, req)
+
+
+def test_traded_state_gets_the_full_check_for_any_other_spec(monkeypatch):
+    from negamm import curves
+
+    calls = _count_calls(monkeypatch, curves, "invariant_residual")
+    for spec in ALL_FAMILIES:
+        state, result = execute_swap(spec, state_from_x(spec, 0.5), BOTH_TOKENS[0])
+        calls[0] = 0
+        assert price_of(spec, state) == result.price_after and calls[0] == 0
+        equal = CurveSpec(spec.family, spec.k, spec.alpha, spec.beta, spec.m, spec.L)
+        assert equal == spec and equal is not spec
+        assert price_of(equal, state) == result.price_after and calls[0] == 1
+    # A different curve re-checks the state and refuses it: it is off that curve.
+    state, _ = execute_swap(CurveSpec.ccmm(1.0), state_from_x(CurveSpec.ccmm(1.0), 0.5),
+                            BOTH_TOKENS[0])
+    with pytest.raises(DomainError, match="off-curve"):
+        price_of(CurveSpec.ccmm(2.0), state)
+    with pytest.raises(DomainError, match="off-curve"):
+        execute_swap(CurveSpec.ccmm(2.0), state, BOTH_TOKENS[1])

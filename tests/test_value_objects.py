@@ -7,7 +7,9 @@ import pickle
 
 import pytest
 
-from negamm import FingerprintSample, GreeksPoint, PoolState, SwapResult
+from negamm import (CurveSpec, FingerprintSample, GreeksPoint, PoolState, SwapResult, price_of,
+                    state_from_x)
+from negamm.swap import SwapRequest, execute_swap
 
 STATE = PoolState(1.5, 0.25, 4.0)
 # (class, positional values, repr, defaults left out of the positional values)
@@ -55,3 +57,29 @@ def test_value_class_behaves_as_a_frozen_dataclass(cls, values, text, defaults):
     # Copies and pickles round-trip to equal objects.
     for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
         assert type(clone) is cls and clone == obj and repr(clone) == text
+
+
+def test_copies_of_a_traded_state_are_equal_and_carry_no_stored_check(monkeypatch):
+    from negamm import curves
+
+    spec = CurveSpec.csemm(3.0, 4.0)
+    traded, result = execute_swap(spec, state_from_x(spec, 0.5), SwapRequest("x", 0.2))
+    fresh = PoolState(traded.x, traded.y, traded.theta)
+    assert vars(traded) == vars(fresh) and repr(traded) == repr(fresh)
+    assert traded == fresh and hash(traded) == hash(fresh)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        traded._checked = None
+    calls = [0]
+    residual = curves.invariant_residual
+
+    def counting(*args):
+        calls[0] += 1
+        return residual(*args)
+
+    monkeypatch.setattr(curves, "invariant_residual", counting)
+    assert price_of(spec, traded) == result.price_after and calls[0] == 0
+    for clone in (copy.copy(traded), copy.deepcopy(traded), pickle.loads(pickle.dumps(traded)),
+                  dataclasses.replace(traded)):
+        assert type(clone) is PoolState and clone == traded and vars(clone) == vars(traded)
+        calls[0] = 0
+        assert price_of(spec, clone) == result.price_after and calls[0] == 1

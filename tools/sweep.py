@@ -9,8 +9,10 @@ The corpus is deterministic, uses the standard library only and is always
 this file's.  Library calls cover every callable in ``negamm.__all__`` (and
 the four ``CurveSpec`` constructors) at reserves, prices and parameters at 0,
 +/-5e-324, one ulp from each branch end, 1e+/-300, +/-inf and NaN, refused
-specs included; each records the ``float.hex`` of every float it returns, or
-its exception's class and text.  CLI invocations run every subcommand x
+specs included, and at states a trade returned, priced and traded again with
+the spec object that traded them, an equal but distinct spec and another
+spec; each records the ``float.hex`` of every float it returns, or its
+exception's class and text.  CLI invocations run every subcommand x
 family x edge flag value through ``negamm.cli.run`` and record the exit code
 and the sha256 of stdout and of stderr.
 
@@ -55,6 +57,8 @@ DOMAINS = ("positive_price", "negative_price", "zero")
 # Markers, resolved in the tree under test; their reprs are the call labels.
 Spec = namedtuple("Spec", "family params")
 At = namedtuple("At", "spec x")  # the state at reserve x: state_from_x(spec, x)
+After = namedtuple("After", "spec x req")  # the new state of execute_swap(spec, At(spec, x), req)
+Twin = namedtuple("Twin", "spec")  # a CurveSpec equal to spec's but another object
 State = namedtuple("State", "x y")  # PoolState(x, y) as given
 Req = namedtuple("Req", "token amount fee")
 Series = namedtuple("Series", "path")  # load_series(path)
@@ -86,6 +90,7 @@ FILES = {
     "bad_price.csv": "date,price\n2020-01-01,abc\n",
     "nan_price.csv": "date,price\n2020-01-01,nan\n2020-01-02,1.0\n",
     "backwards.csv": "date,price\n2020-01-02,1.0\n2020-01-01,2.0\n",
+    "bom.csv": "\ufeffdate,price\r\n2020-01-01,5.0\r\n2020-01-02,-2.5\r\n2021-06-01,12.0\r\n",
     "m2.params": "family = parabola\nm = 2.0\n",
     "minf.params": "family = parabola\nm = inf\n",
 }
@@ -210,6 +215,16 @@ def library_calls():
             add(("price_impact", (spec, mid, Req("x", 0.1, fee))))
         for token in ("x", "y", "z"):
             add(("price_impact", (spec, mid, Req(token, 0.1, 0.0))))
+    for i, spec in enumerate(SPECS):  # traded states, priced with their spec, a twin, another
+        others = (spec, Twin(spec), SPECS[(i + 1) % len(SPECS)])
+        for x in (v for v in _x_edges(spec) if 0.0 < v < 1e300):
+            for req in (Req(t, a, f) for t, f in (("x", 0.0), ("y", 0.003)) for a in (0.1, -0.1)):
+                after = After(spec, x, req)
+                for other in others:
+                    add(("price_of", (other, after)))
+                    add(("quote_exact_in", (other, after, Req("x", 0.05, 0.0))))
+                    add(("execute_swap", (other, after, Req("y", -0.05, 0.003))))
+                    add(("price_impact", (other, after, Req("x", -0.05, 0.0))))
     for dens in ((1.0,) * 12, tuple(2.0 ** -i for i in range(12)), (0.0,) * 12, (NAN,) * 12,
                  (1.0,) * 3):
         add(("tail_index", (Points(tuple(float(i + 1) for i in range(len(dens))), dens),)))
@@ -317,12 +332,25 @@ def cli_calls():
     return list({" ".join(argv): argv for argv in calls}.values())
 
 
-def _resolve(ng, arg):
-    """The object a marker stands for, built in the tree under test."""
+def _resolve(ng, arg, specs=None):
+    """The object a marker stands for, built in the tree under test.
+
+    ``specs`` holds the CurveSpec each Spec marker built for one call, so one
+    marker stands for one object throughout the call's arguments.
+    """
     if isinstance(arg, Spec):
-        return ng.CurveSpec(arg.family, **dict(arg.params))
+        if specs is None:
+            specs = {}
+        if arg not in specs:
+            specs[arg] = ng.CurveSpec(arg.family, **dict(arg.params))
+        return specs[arg]
+    if isinstance(arg, Twin):
+        return _resolve(ng, arg.spec)
     if isinstance(arg, At):
-        return ng.state_from_x(_resolve(ng, arg.spec), arg.x)
+        return ng.state_from_x(_resolve(ng, arg.spec, specs), arg.x)
+    if isinstance(arg, After):
+        spec = _resolve(ng, arg.spec, specs)
+        return ng.execute_swap(spec, ng.state_from_x(spec, arg.x), _resolve(ng, arg.req, specs))[0]
     if isinstance(arg, State):
         return ng.PoolState(arg.x, arg.y)
     if isinstance(arg, Req):
@@ -332,7 +360,7 @@ def _resolve(ng, arg):
     if isinstance(arg, Returns):
         return ng.returns(ng.load_series(arg.path), arg.mode)
     if isinstance(arg, Samples):
-        return ng.numeric_fingerprint(_resolve(ng, arg.spec), arg.grid, arg.space)
+        return ng.numeric_fingerprint(_resolve(ng, arg.spec, specs), arg.grid, arg.space)
     if isinstance(arg, Points):
         return [ng.FingerprintSample(c, d) for c, d in zip(arg.coords, arg.densities)]
     if isinstance(arg, Fn):
@@ -367,7 +395,8 @@ def call(ng, name: str, args: tuple):
             fn = getattr(fn, part)
         kwargs = args[-1] if args and isinstance(args[-1], dict) else {}
         args = args[:-1] if kwargs else args
-        return fn(*[_resolve(ng, a) for a in args], **kwargs), None
+        specs = {}
+        return fn(*[_resolve(ng, a, specs) for a in args], **kwargs), None
     except Exception as exc:  # recorded, whatever it is
         return None, exc
 
