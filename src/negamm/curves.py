@@ -27,7 +27,7 @@ functions and the other modules read the records.  A spec reads its parameters
 through the record, checks them and computes its derived constants once, when
 it is built.  The record's bounds are the only statement of each reserve range:
 reserves, states, branch names and prices are checked once (``_within``,
-``_priced``, ``y_from_x``, ``state_from_price``), and the kernels only compute.
+``_check``, ``y_from_x``, ``state_from_price``), and the kernels only compute.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class PoolState:
     On the ccmm trading arc theta runs through [pi, 2*pi]:
     x = k*(1+cos(theta)), y = k*(1+sin(theta)), price p = cot(theta).
 
-    A traded state keeps its check in the slot ``_checked``, not a field; see ``_priced``.
+    A traded state keeps its checked price in the slot ``_checked``, not a field; see price_of.
     """
 
     __slots__ = ("__dict__", "__weakref__", "_checked")
@@ -249,7 +249,7 @@ def invariant_residual(spec: CurveSpec, x: float, y: float) -> float:
 
 def residual_scale(spec: CurveSpec) -> float:
     """Natural size of the invariant in the residual's units: ccmm k^2, cpmm L^2, else 1."""
-    return _FAMILIES[spec.family].scale(spec)
+    return _FAMILIES[spec.family].scale(spec, 1.0)
 
 
 def fold_x(spec: CurveSpec) -> float | None:
@@ -313,17 +313,6 @@ def _within(spec: CurveSpec, value: float, bounds: tuple[float, float], name: st
     raise DomainError(f"{spec.family.value} {what} must lie in {where}, got {name}={value}")
 
 
-def _price_from_x(spec: CurveSpec, x: float) -> float:
-    """Marginal price p = -dy/dx at reserve x on the trading branch.
-
-    Returns +inf / -inf at the branch endpoints where the tangent turns
-    vertical.  Exactly zero at the fold.
-    """
-    rec = _FAMILIES[spec.family]
-    _within(spec, x, rec.x_bounds(spec), "x")
-    return rec.price(spec, x)
-
-
 def _csemm_price(x: float, a: float, b: float, u_a: float, u_b: float) -> float:
     """csemm marginal price at x in [0, 2a], given u_a = u(a) and u_b = u(b)."""
     if x == 0.0:
@@ -348,28 +337,28 @@ def price_of(spec: CurveSpec, state: PoolState) -> float:
 
     Positive left of the fold, exactly zero at it, negative beyond it;
     +/-inf at the arc endpoints.  Raises DomainError when the state's residual
-    exceeds 1e-9 times the curve scale, when its x is off the branch (cpmm too),
-    or when a ccmm or csemm state is on the upper (plotting) branch: y above the
-    trading branch away from the endpoints, where both branches meet.
-    """
-    return _priced(spec, state)[0]
+    exceeds 1e-9 times the curve scale (the parabola's: max(1, y)), when its x is
+    off the branch (cpmm too), or when a ccmm or csemm state is on the upper
+    (plotting) branch: y above the trading branch away from the endpoints, where
+    both branches meet.
 
-
-def _priced(spec: CurveSpec, state: PoolState) -> tuple[float, float]:
-    """(price, residual) of a state: the one check of a pool state; see price_of.
-
-    swap.quote_exact_in stores (spec, (price, residual)) in a state it returns, and
-    that pair is returned for that very spec object; any other spec gets the full check.
+    swap.quote_exact_in stores (spec, price) in a state it returns, and that price
+    is returned for that very spec object; any other spec gets the full check.
     """
     checked = getattr(state, "_checked", None)
     if checked is not None and checked[0] is spec:
         return checked[1]
+    return _check(spec, state)[0]
+
+
+def _check(spec: CurveSpec, state: PoolState) -> tuple[float, float]:
+    """(price, residual) of a state after the one full check of a pool state; see price_of."""
     rec = _FAMILIES[spec.family]
     res = invariant_residual(spec, state.x, state.y)
-    if not abs(res) <= _RESIDUAL_TOL * rec.scale(spec):  # a NaN reserve fails too
+    if not abs(res) <= _RESIDUAL_TOL * rec.scale(spec, state.y):  # a NaN reserve fails too
         raise DomainError(f"state ({state.x}, {state.y}) is off-curve: residual {res:.3e}")
     _within(spec, state.x, rec.x_bounds(spec), "x")
-    price = rec.state_price(spec, state)
+    price = rec.price(spec, state)
     if rec.upper_branch and state.y > rec.y_bounds(spec, "left")[1] and math.isfinite(price):
         raise DomainError(f"state ({state.x}, {state.y}) is on the upper (plotting) branch")
     return price, res
@@ -640,7 +629,9 @@ class _Record:
     order: the one reading of each, by the spec and the CLI.  Branch reserves
     lie in [lo, hi] of ``x_bounds`` / ``y_bounds`` (default [0, inf)), or (lo,
     hi] when ``open_low``: the only statement of each range, which ``_within``
-    checks before any kernel runs.  ``gamma(spec, p, x)`` gets the x quoting p.
+    checks before any kernel runs.  ``price(spec, state)`` is a checked state's
+    marginal price, and ``scale(spec, y)`` the size its residual is compared with.
+    ``gamma(spec, p, x)`` gets the x quoting p.
     ``derive`` returns the spec's derived constants, stored on it as ``_consts``
     when it is built.  Entries call private kernels, which only compute and
     trust the spec and their arguments, or name public functions at call time
@@ -660,12 +651,10 @@ class _Record:
     defaults: dict = field(default_factory=dict)
     open_low: bool = False
     upper_branch: bool = False
-    positive_greeks: bool = False
     x_bounds: Callable = lambda spec: (0.0, math.inf)
     y_bounds: Callable = lambda spec, side: (0.0, math.inf)
     fold: Callable = lambda spec: None
-    scale: Callable = lambda spec: 1.0
-    state_price: Callable = lambda spec, state: _FAMILIES[spec.family].price(spec, state.x)
+    scale: Callable = lambda spec, y: 1.0
     theta: Callable | None = None  # arc angle of a state, ccmm only
     derive: Callable = lambda spec: None
 
@@ -691,8 +680,8 @@ def _ccmm_x_of_y(spec: CurveSpec, y: float, side: str) -> float:
     return k - root if side == "left" else k + root
 
 
-def _ccmm_price(spec: CurveSpec, x: float) -> float:
-    k = spec.k
+def _ccmm_price(spec: CurveSpec, state: PoolState) -> float:
+    k, x = spec.k, state.x
     root = math.sqrt(x * (2.0 * k - x))
     if root == 0.0:  # an end of the arc, or x so near 0 that x(2k - x) underflows
         return math.inf if x < k else -math.inf
@@ -786,10 +775,10 @@ def _parabola_x_of_y(spec: CurveSpec, y: float, side: str) -> float:
     return (1.0 - root) ** 2 if side == "left" else (1.0 + root) ** 2
 
 
-def _parabola_price(spec: CurveSpec, x: float) -> float:
-    if x == 0.0:
+def _parabola_price(spec: CurveSpec, state: PoolState) -> float:
+    if state.x == 0.0:
         return math.inf
-    root = math.sqrt(x)
+    root = math.sqrt(state.x)
     return spec.m * (1.0 - root) ** (spec.m - 1) / (2.0 * root)
 
 
@@ -798,12 +787,11 @@ _FAMILIES: dict[Family, _Record] = {
         params={"L": (float, "cpmm liquidity parameter")},
         check=lambda s: _require(s, 0.0, True, "L", size=True),
         open_low=True,
-        scale=lambda s: s.L * s.L,
+        scale=lambda s, y: s.L * s.L,
         residual=lambda s, x, y: x * y - s.L * s.L,
         y=lambda s, x, branch: s.L * s.L / x,
         x_of_y=lambda s, y, side: s.L * s.L / y,
-        price=lambda s, x: (s.L / x) * (s.L / x),  # L^2 / x^2
-        state_price=lambda s, state: state.y / state.x,
+        price=lambda s, state: state.y / state.x,
         at_price=lambda s, p: PoolState(_cpmm_x(p, s.L), s.L * math.sqrt(p)),
         # where 2 p^1.5 underflows to zero, below p ~ 1.2e-216, divide in two steps
         gamma=lambda s, p, x: -s.L / d if (d := 2.0 * p * math.sqrt(p))
@@ -815,7 +803,7 @@ _FAMILIES: dict[Family, _Record] = {
         x_bounds=lambda s: (0.0, 2.0 * s.k),
         y_bounds=lambda s, side: (0.0, s.k),
         fold=lambda s: s.k,
-        scale=lambda s: s.k * s.k,
+        scale=lambda s, y: s.k * s.k,
         residual=lambda s, x, y: (x - s.k) ** 2 + (y - s.k) ** 2 - s.k * s.k,
         upper_branch=True,
         y=_ccmm_y,
@@ -836,7 +824,7 @@ _FAMILIES: dict[Family, _Record] = {
         upper_branch=True,
         y=_csemm_y,
         x_of_y=_csemm_x_of_y,
-        price=lambda s, x: _csemm_price(x, s.alpha, s.beta, *s._consts),
+        price=lambda s, state: _csemm_price(state.x, s.alpha, s.beta, *s._consts),
         at_price=lambda s, p: PoolState(x := csemm_x_from_price(p, s.alpha, s.beta),
                                         _csemm_y(s, x, "lower")),
         gamma=_csemm_gamma,
@@ -848,12 +836,12 @@ _FAMILIES: dict[Family, _Record] = {
         check=lambda s: _parabola_m(s.m),
         y_bounds=lambda s, side: (0.0, 1.0 if side == "left" else math.inf),
         fold=lambda s: 1.0,
+        scale=lambda s, y: y if 1.0 < y < math.inf else 1.0,  # y is unbounded: max(1, y)
         residual=lambda s, x, y: y - (1.0 - math.sqrt(max(x, 0.0))) ** s.m,
         y=lambda s, x, branch: (1.0 - math.sqrt(x)) ** s.m,
         x_of_y=_parabola_x_of_y,
         price=_parabola_price,
         at_price=lambda s, p: state_from_x(s, _parabola_x(p, s.m)),
         gamma=lambda s, p, x: -2.0 / (1.0 + p) ** 3,
-        positive_greeks=True,
     ),
 }

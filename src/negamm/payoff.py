@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import curves
 from .curves import CurveSpec
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 
 
 @dataclass(frozen=True, init=False)
@@ -70,8 +70,6 @@ def greeks(spec: CurveSpec, p: float, sigma_iv: float = 0.0) -> GreeksPoint:
     """Value, delta, gamma and theta bundled for one price point."""
     if not math.isfinite(sigma_iv) or sigma_iv < 0.0:
         raise ParameterError(f"sigma_iv must be >= 0, got {sigma_iv}")
-    if curves._FAMILIES[spec.family].positive_greeks and p <= 0.0:
-        raise DomainError(f"{spec.family.value} payoff is defined for p > 0, got p={p}")
     state = curves.state_from_price(spec, p)
     try:
         g = curves._FAMILIES[spec.family].gamma(spec, p, state.x)

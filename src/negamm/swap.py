@@ -88,8 +88,8 @@ def quote_exact_in(spec: CurveSpec, state: PoolState, req: SwapRequest) -> SwapR
     _validate_request(req)
     price_before = curves.price_of(spec, state)
     new_state = _traverse(spec, state, req)
-    price_after, residual = checked = curves._priced(spec, new_state)
-    object.__setattr__(new_state, "_checked", (spec, checked))  # not yet seen by any caller
+    price_after, residual = curves._check(spec, new_state)
+    object.__setattr__(new_state, "_checked", (spec, price_after))  # not yet seen by any caller
     if req.token_in == TOKEN_X:
         amount_out = state.y - new_state.y
     else:

@@ -143,6 +143,17 @@ def test_payoff_gamma_column():
     assert float(mid[4]) == 0.5
 
 
+def test_parabola_payoff_runs_through_zero_to_its_price_floor():
+    code, out, err = invoke(["payoff", "--family", "parabola", "--grid", "-0.5:1:4"])
+    assert code == 0 and err == ""
+    rows = rows_of(out)[1:]
+    assert [float(r[0]) for r in rows] == [-0.5, 0.0, 0.5, 1.0]
+    assert rows[0][1:4] == ["-1.0", "4.0", "-16.0"]  # V = p/(1+p), delta (1+p)^-2, gamma -2/(1+p)^3
+    code, out, err = invoke(["payoff", "--family", "parabola", "--grid", "-1:0:2"])
+    assert code == 1 and out == ""
+    assert err == "error: parabola prices lie in (-1, inf), got p=-1.0\n"
+
+
 def test_payoff_json_serializes_infinities():
     code, out, _ = invoke(
         ["payoff", "--family", "csemm", "--alpha", "5", "--beta", "3",

@@ -25,7 +25,7 @@ from negamm import (
     state_from_price,
     state_from_x,
 )
-from negamm.curves import _price_from_x
+from negamm.curves import _csemm_price
 from conftest import CIRCLE_PARAM
 
 PAIRS = [
@@ -57,11 +57,12 @@ def _bisect_reference(
     if p == 0.0:
         return float(alpha)
     spec = CurveSpec.csemm(alpha, beta)
+    consts = spec.alpha, spec.beta, *spec._consts  # every midpoint lies in [0, 2 alpha]
     lo, hi = 0.0, 2.0 * alpha  # price(lo) = +inf, price(hi) = -inf
     price_tol = 1e-10 * max(1.0, abs(p))
     x = 0.5 * (lo + hi)
     for _ in range(max_iter):
-        px = _price_from_x(spec, x)
+        px = _csemm_price(x, *consts)
         if abs(px - p) <= price_tol and hi - lo <= max(tol, 4.0 * math.ulp(x)):
             return x
         if px > p:
@@ -71,7 +72,7 @@ def _bisect_reference(
         nxt = 0.5 * (lo + hi)
         if nxt == lo or nxt == hi:
             # Bracket exhausted at float resolution.
-            if abs(_price_from_x(spec, nxt) - p) <= price_tol:
+            if abs(_csemm_price(nxt, *consts) - p) <= price_tol:
                 return nxt
             break
         x = nxt

@@ -133,14 +133,35 @@ def test_sigma_validation():
 
 
 def test_positive_only_families_reject_nonpositive_prices():
-    for spec in (CurveSpec.cpmm(2.0), CurveSpec.parabola(2)):
-        for bad in (0.0, -1.0):
+    for spec, bads in ((CurveSpec.cpmm(2.0), (0.0, -1.0)), (CurveSpec.parabola(2), (-1.0, -2.0))):
+        for bad in bads:
             with pytest.raises(DomainError):
                 lp_value(spec, bad)
             with pytest.raises(DomainError):
                 delta(spec, bad)
             with pytest.raises(DomainError):
                 gamma(spec, bad)
+
+
+@pytest.mark.parametrize("p", [-0.999, -0.9, -0.5, -0.25, -1e-3, -1e-12, -0.0, 0.0])
+def test_parabola_greeks_hold_on_its_negative_prices(p):
+    spec = CurveSpec.parabola(2)
+    g = greeks(spec, p, 0.7)
+    assert g.value == pytest.approx(p / (1.0 + p), rel=1e-12, abs=1e-15)
+    assert g.delta == pytest.approx((1.0 + p) ** -2, rel=1e-12)
+    assert g.gamma == pytest.approx(-2.0 / (1.0 + p) ** 3, rel=1e-15)
+    assert g.theta == pytest.approx(-0.5 * 0.7 ** 2 * g.gamma, rel=1e-15)
+    assert gamma(spec, p) == g.gamma and delta(spec, p) == g.delta and lp_value(spec, p) == g.value
+
+
+def test_parabola_greeks_refuse_what_its_price_inversion_refuses():
+    spec = CurveSpec.parabola(2)
+    for bad in (-1.0, math.nextafter(-1.0, -2.0), -2.0, -1e300):
+        for fn in (lp_value, delta, gamma, greeks, state_from_price):
+            with pytest.raises(DomainError, match=r"parabola prices lie in \(-1, inf\)"):
+                fn(spec, bad)
+    with pytest.raises(ParameterError, match="only available for m=2"):
+        greeks(CurveSpec.parabola(4), -0.5)
 
 
 def test_quartic_parabola_unsupported():

@@ -1,4 +1,4 @@
-"""Each outside input is read once: family parameters through the record, states in ``_priced``."""
+"""Each outside input is read once: family parameters through the record, states in ``_check``."""
 
 import io
 import math

@@ -494,3 +494,32 @@ def test_traded_state_gets_the_full_check_for_any_other_spec(monkeypatch):
         price_of(CurveSpec.ccmm(2.0), state)
     with pytest.raises(DomainError, match="off-curve"):
         execute_swap(CurveSpec.ccmm(2.0), state, BOTH_TOKENS[1])
+
+
+@pytest.mark.parametrize("x0", [1e6, 1e7, 1e8, 1e10, 1e12])
+def test_parabola_y_trades_at_large_reserves_stay_on_curve(x0):
+    # y is unbounded on the parabola's right side, so its on-curve tolerance grows with y.
+    spec = CurveSpec.parabola(2)
+    rng = random.Random(int(x0).bit_length())
+    start = state_from_x(spec, x0)
+    for _ in range(199):
+        req = SwapRequest(TOKEN_Y, start.y * rng.uniform(-0.9, 3.0))
+        state, result = execute_swap(spec, start, req)
+        assert abs(result.residual_after) <= 1e-9 * max(1.0, state.y)
+        assert result.price_after == price_of(spec, PoolState(state.x, state.y)) < 0.0
+        again = execute_swap(spec, state, SwapRequest(TOKEN_Y, -0.5 * state.y, 0.003))[1]
+        assert again.new_state.y < state.y and again.price_after > result.price_after
+
+
+def test_parabola_state_with_unbounded_y_is_refused():
+    spec = CurveSpec.parabola(2)
+    for y in (math.inf, -math.inf, math.nan):
+        for x in (4.0, 1e10, math.inf):
+            with pytest.raises(DomainError):
+                price_of(spec, PoolState(x, y))
+    x = 1e10
+    y = state_from_x(spec, x).y
+    price_of(spec, PoolState(x, y * (1.0 + 5e-10)))
+    with pytest.raises(DomainError, match="off-curve"):
+        price_of(spec, PoolState(x, y * (1.0 + 2e-9)))
+    assert residual_scale(spec) == 1.0

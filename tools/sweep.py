@@ -11,10 +11,11 @@ the four ``CurveSpec`` constructors) at reserves, prices and parameters at 0,
 +/-5e-324, one ulp from each branch end, 1e+/-300, +/-inf and NaN, refused
 specs included, and at states a trade returned, priced and traded again with
 the spec object that traded them, an equal but distinct spec and another
-spec; each records the ``float.hex`` of every float it returns, or its
-exception's class and text.  CLI invocations run every subcommand x
-family x edge flag value through ``negamm.cli.run`` and record the exit code
-and the sha256 of stdout and of stderr.
+spec (parabola y-in trades from large reserves among them); each records the
+``float.hex`` of every float it returns, or its exception's class and text.
+CLI invocations run every subcommand x family x edge flag value through
+``negamm.cli.run`` and record the exit code and the sha256 of stdout and of
+stderr.
 
 Each tree runs in its own subprocess, with its ``src`` first on sys.path, in
 a scratch directory holding the corpus's input files.  ``--against`` prints
@@ -225,6 +226,16 @@ def library_calls():
                     add(("quote_exact_in", (other, after, Req("x", 0.05, 0.0))))
                     add(("execute_swap", (other, after, Req("y", -0.05, 0.003))))
                     add(("price_impact", (other, after, Req("x", -0.05, 0.0))))
+    parabola = Spec("parabola", (("m", 2),))  # y-in trades where y, unbounded, is large
+    for x in (1e7, 1e10):
+        y = (math.sqrt(x) - 1.0) ** 2
+        fractions = (-0.9, -0.5, -0.1, -1e-3, 1e-6, 0.1, 0.37, 1.0, 2.5)
+        for a in [y * f for f in fractions] + [7.0, -0.1]:
+            after = After(parabola, x, Req("y", a, 0.003))
+            add(("execute_swap", (parabola, At(parabola, x), Req("y", a, 0.003))))
+            add(("price_of", (Twin(parabola), after)))
+            for b in (0.25 * y, -0.25 * y, 1.0):
+                add(("execute_swap", (parabola, after, Req("y", b, 0.0))))
     for dens in ((1.0,) * 12, tuple(2.0 ** -i for i in range(12)), (0.0,) * 12, (NAN,) * 12,
                  (1.0,) * 3):
         add(("tail_index", (Points(tuple(float(i + 1) for i in range(len(dens))), dens),)))
