@@ -24,10 +24,12 @@ Everything the package knows about a family sits in its record in
 ``_FAMILIES`` at the end of this module: parameters, branch bounds, fold,
 y(x), x(y, side), p(x), the state at a price and gamma = dx/dp.  The generic
 functions and the other modules read the records.  A spec reads its parameters
-through the record, checks them and computes its derived constants once, when
-it is built.  The record's bounds are the only statement of each reserve range:
-reserves, states, branch names and prices are checked once (``_within``,
-``_check``, ``y_from_x``, ``state_from_price``), and the kernels only compute.
+through the record, checks them, computes its derived constants and resolves
+its branch (the record's bounds and fold) once, when it is built; trades and
+checks read that resolved branch.  The record's bounds are the only statement
+of each reserve range: reserves, states, branch names and prices are checked
+once (``_within``, ``_check``, ``y_from_x``, ``state_from_price``), and the
+kernels only compute.
 """
 
 from __future__ import annotations
@@ -68,8 +70,13 @@ class CurveSpec:
 
     Only the fields relevant to ``family`` are set; the rest stay None.  Each is
     read through its family record's ``params``: a float, or an exact int for m.
+
+    A built spec also holds its derived constants, ``_consts``, and in the slot
+    ``_branch`` (not in ``vars``) the branch its record states: (x bounds,
+    left-side y bounds, right-side y bounds, fold).
     """
 
+    __slots__ = ("__dict__", "__weakref__", "_branch")
     family: Family
     k: float | None = None
     alpha: float | None = None
@@ -78,7 +85,8 @@ class CurveSpec:
     L: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "family", Family(self.family))
+        if not isinstance(self.family, Family):
+            object.__setattr__(self, "family", Family(self.family))
         rec = _FAMILIES[self.family]
         for name, (kind, _) in rec.params.items():
             try:
@@ -87,6 +95,11 @@ class CurveSpec:
                 pass  # None, or no value of its kind: left as given for rec.check to refuse
         rec.check(self)
         object.__setattr__(self, "_consts", rec.derive(self))  # not a field
+        object.__setattr__(self, "_branch", (rec.x_bounds(self), rec.y_bounds(self, "left"),
+                                             rec.y_bounds(self, "right"), rec.fold(self)))
+
+    def __reduce__(self):  # copies and pickles: the fields only, rebuilt and checked again
+        return type(self), (self.family, self.k, self.alpha, self.beta, self.m, self.L)
 
     @classmethod
     def ccmm(cls, k: float) -> "CurveSpec":
@@ -120,9 +133,13 @@ class PoolState:
     y: float
     theta: float | None = None
 
-    # Fields stored in one step, not one frozen __setattr__ each (as for every value class).
+    # Fields go straight into the instance's own __dict__, past the frozen __setattr__:
+    # the cheapest build (as for every value class).
     def __init__(self, x: float, y: float, theta: float | None = None):
-        object.__setattr__(self, "__dict__", {"x": x, "y": y, "theta": theta})
+        d = self.__dict__
+        d["x"] = x
+        d["y"] = y
+        d["theta"] = theta
 
     def __reduce__(self):  # copies and pickles: the fields only, never _checked
         return type(self), (self.x, self.y, self.theta)
@@ -254,7 +271,7 @@ def residual_scale(spec: CurveSpec) -> float:
 
 def fold_x(spec: CurveSpec) -> float | None:
     """x-coordinate where the marginal price crosses zero (None for cpmm)."""
-    return _FAMILIES[spec.family].fold(spec)
+    return spec._branch[3]
 
 
 def y_from_x(spec: CurveSpec, x: float, branch: str = "lower") -> float:
@@ -269,7 +286,7 @@ def y_from_x(spec: CurveSpec, x: float, branch: str = "lower") -> float:
             raise ParameterError(f"{spec.family.value} has a single branch")
         if branch != "upper":
             raise ParameterError(f"branch must be 'lower' or 'upper', got {branch!r}")
-    _within(spec, x, rec.x_bounds(spec), "x")
+    _within(spec, x, spec._branch[0], "x")
     try:
         return rec.y(spec, x, branch)
     except OverflowError:  # the parabola's (1 - sqrt(x))^m for m >= 4 and huge x
@@ -286,9 +303,8 @@ def x_from_y_on_side(spec: CurveSpec, y: float, side: str = "left") -> float:
     """
     if side not in ("left", "right"):
         raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
-    rec = _FAMILIES[spec.family]
-    _within(spec, y, rec.y_bounds(spec, side), "y", side)
-    return rec.x_of_y(spec, y, side)
+    _within(spec, y, spec._branch[1 if side == "left" else 2], "y", side)
+    return _FAMILIES[spec.family].x_of_y(spec, y, side)
 
 
 def _within(spec: CurveSpec, value: float, bounds: tuple[float, float], name: str,
@@ -354,12 +370,13 @@ def price_of(spec: CurveSpec, state: PoolState) -> float:
 def _check(spec: CurveSpec, state: PoolState) -> tuple[float, float]:
     """(price, residual) of a state after the one full check of a pool state; see price_of."""
     rec = _FAMILIES[spec.family]
+    x_bounds, y_left, _, _ = spec._branch
     res = invariant_residual(spec, state.x, state.y)
     if not abs(res) <= _RESIDUAL_TOL * rec.scale(spec, state.y):  # a NaN reserve fails too
         raise DomainError(f"state ({state.x}, {state.y}) is off-curve: residual {res:.3e}")
-    _within(spec, state.x, rec.x_bounds(spec), "x")
+    _within(spec, state.x, x_bounds, "x")
     price = rec.price(spec, state)
-    if rec.upper_branch and state.y > rec.y_bounds(spec, "left")[1] and math.isfinite(price):
+    if rec.upper_branch and state.y > y_left[1] and math.isfinite(price):
         raise DomainError(f"state ({state.x}, {state.y}) is on the upper (plotting) branch")
     return price, res
 
@@ -629,7 +646,8 @@ class _Record:
     order: the one reading of each, by the spec and the CLI.  Branch reserves
     lie in [lo, hi] of ``x_bounds`` / ``y_bounds`` (default [0, inf)), or (lo,
     hi] when ``open_low``: the only statement of each range, which ``_within``
-    checks before any kernel runs.  ``price(spec, state)`` is a checked state's
+    checks before any kernel runs.  A spec reads them and ``fold`` once, when it
+    is built, into its ``_branch``.  ``price(spec, state)`` is a checked state's
     marginal price, and ``scale(spec, y)`` the size its residual is compared with.
     ``gamma(spec, p, x)`` gets the x quoting p.
     ``derive`` returns the spec's derived constants, stored on it as ``_consts``

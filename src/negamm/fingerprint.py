@@ -52,8 +52,10 @@ class FingerprintSample:
     domain_sign: str = POSITIVE
 
     def __init__(self, coord: float, density: float, domain_sign: str = POSITIVE):
-        object.__setattr__(self, "__dict__", {"coord": coord, "density": density,
-                                              "domain_sign": domain_sign})
+        d = self.__dict__  # filled in place, as PoolState's
+        d["coord"] = coord
+        d["density"] = density
+        d["domain_sign"] = domain_sign
 
 
 def _domain_sign(domain: str) -> float:

@@ -35,8 +35,12 @@ class GreeksPoint:
     theta: float
 
     def __init__(self, p: float, value: float, delta: float, gamma: float, theta: float):
-        object.__setattr__(self, "__dict__", {"p": p, "value": value, "delta": delta,
-                                              "gamma": gamma, "theta": theta})
+        d = self.__dict__  # filled in place, as PoolState's
+        d["p"] = p
+        d["value"] = value
+        d["delta"] = delta
+        d["gamma"] = gamma
+        d["theta"] = theta
 
 
 def lp_value(spec: CurveSpec, p: float) -> float:

@@ -49,9 +49,12 @@ class SwapResult:
 
     def __init__(self, amount_out: float, price_before: float, price_after: float,
                  residual_after: float, new_state: PoolState):
-        object.__setattr__(self, "__dict__", {
-            "amount_out": amount_out, "price_before": price_before, "price_after": price_after,
-            "residual_after": residual_after, "new_state": new_state})
+        d = self.__dict__  # filled in place, as PoolState's
+        d["amount_out"] = amount_out
+        d["price_before"] = price_before
+        d["price_after"] = price_after
+        d["residual_after"] = residual_after
+        d["new_state"] = new_state
 
 
 def _validate_request(req: SwapRequest) -> None:
@@ -65,18 +68,20 @@ def _validate_request(req: SwapRequest) -> None:
 
 def _traverse(spec: CurveSpec, state: PoolState, req: SwapRequest) -> PoolState:
     """Post-trade state for an exact-input trade; pure."""
-    rec = curves._FAMILIES[spec.family]
+    x_bounds, y_left, y_right, fold = spec._branch
     effective = (1.0 - req.fee) * req.amount_in
     if req.token_in == TOKEN_X:
         x_new = state.x + effective
-        curves._within(spec, x_new, rec.x_bounds(spec), "x", trade=True)
+        curves._within(spec, x_new, x_bounds, "x", trade=True)
         return curves.state_from_x(spec, x_new)
     y_new = state.y + effective
     # The side of the zero-price fold; a state exactly at the fold counts as
     # 'left' (positive prices), so a y-input trade from it moves that way.
-    fx = rec.fold(spec)
-    side = "left" if fx is None or state.x <= fx else "right"
-    curves._within(spec, y_new, rec.y_bounds(spec, side), "y", trade=True)
+    if fold is None or state.x <= fold:
+        side, y_bounds = "left", y_left
+    else:
+        side, y_bounds = "right", y_right
+    curves._within(spec, y_new, y_bounds, "y", trade=True)
     x_new = curves.x_from_y_on_side(spec, y_new, side)
     new_state = curves.state_from_x(spec, x_new)
     # Re-anchor y to the exact requested reserve; x solved for it.

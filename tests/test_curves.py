@@ -4,8 +4,11 @@ Expected values marked "oracle" were generated with mpmath at 50 significant
 digits from the defining equations, then frozen here.
 """
 
+import copy
 import dataclasses
 import math
+import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -456,6 +459,27 @@ def test_curvespec_value_semantics_are_its_fields():
     assert hash(spec) == hash((Family.CSEMM, None, 3.0, 4.0, None, None))
     assert spec != CurveSpec.csemm(3.0, 5.0)
     assert CurveSpec.parabola() == CurveSpec(Family.PARABOLA, m=2)
+
+
+@pytest.mark.parametrize("spec, top", [
+    (CurveSpec.ccmm(1.0), 2.0), (CurveSpec.csemm(3.0, 4.0), 6.0),
+    (CurveSpec.cpmm(2.0), sys.float_info.max), (CurveSpec.parabola(2), sys.float_info.max)],
+    ids=["ccmm", "csemm", "cpmm", "parabola"])
+def test_copies_and_pickles_of_a_spec_keep_its_branch(spec, top):
+    # A spec holds its resolved branch outside its fields; a copy or a pickle
+    # rebuilds the spec from its fields, so the clone bounds x as the original does.
+    def refusal(s, x):
+        with pytest.raises(DomainError) as err:
+            state_from_x(s, x)
+        return str(err.value)
+
+    above = math.nextafter(top, math.inf)
+    for clone in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert type(clone) is CurveSpec and clone == spec and vars(clone) == vars(spec)
+        state = state_from_x(clone, top)
+        assert state == state_from_x(spec, top) and state.x == top
+        assert price_of(clone, state) == price_of(spec, state)
+        assert refusal(clone, above) == refusal(spec, above)
 
 
 def test_price_of_refuses_upper_branch_states():
