@@ -54,13 +54,13 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _spec_from_args(args, parser: argparse.ArgumentParser) -> CurveSpec:
-    rec = curves._FAMILIES[Family(args.family)]
+    rec = curves._FAMILIES[(family := Family(args.family))]
     values = {name: getattr(args, name) for name in rec.params}
     if None in values.values():
         required = [f"--{name}" for name in rec.params if name not in rec.defaults]
         verb = "is" if len(required) == 1 else "are"
         parser.error(f"{' and '.join(required)} {verb} required for --family {args.family}")
-    return CurveSpec(family=args.family, **values)
+    return CurveSpec(family=family, **values)
 
 
 def _json_cell(value):
@@ -193,7 +193,7 @@ def _parse_compare_spec(text: str, parser):
     if name == "gaussian":
         params, values = dict.fromkeys(("mu", "sigma", "mass"), (float, "")), {}
     elif name in _FAMILY_NAMES:
-        rec = curves._FAMILIES[Family(name)]
+        rec = curves._FAMILIES[(family := Family(name))]
         params, values = rec.params, dict(rec.defaults)
     else:
         parser.error(f"bad spec {text!r}: unknown family {name!r}")
@@ -213,7 +213,7 @@ def _parse_compare_spec(text: str, parser):
         parser.error(f"bad spec {text!r}: missing parameter {missing[0]!r}")
     if name == "gaussian":
         return values["mu"], values["sigma"], values["mass"]
-    return CurveSpec(family=name, **values)
+    return CurveSpec(family=family, **values)
 
 
 def _cmd_compare(args, parser):

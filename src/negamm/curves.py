@@ -25,7 +25,7 @@ Everything the package knows about a family sits in its record in
 y(x), x(y, side), p(x), the state at a price and gamma = dx/dp.  The generic
 functions and the other modules read the records.  A spec reads its parameters
 through the record, checks them, computes its derived constants and resolves
-its branch (the record's bounds and fold) once, when it is built; trades and
+its branch (the record's ``branch``) once, when it is built; trades and
 checks read that resolved branch.  The record's bounds are the only statement
 of each reserve range: reserves, states, branch names and prices are checked
 once (``_within``, ``_check``, ``y_from_x``, ``state_from_price``), and the
@@ -95,8 +95,7 @@ class CurveSpec:
                 pass  # None, or no value of its kind: left as given for rec.check to refuse
         rec.check(self)
         object.__setattr__(self, "_consts", rec.derive(self))  # not a field
-        object.__setattr__(self, "_branch", (rec.x_bounds(self), rec.y_bounds(self, "left"),
-                                             rec.y_bounds(self, "right"), rec.fold(self)))
+        object.__setattr__(self, "_branch", rec.branch(self))
 
     def __reduce__(self):  # copies and pickles: the fields only, rebuilt and checked again
         return type(self), (self.family, self.k, self.alpha, self.beta, self.m, self.L)
@@ -287,10 +286,7 @@ def y_from_x(spec: CurveSpec, x: float, branch: str = "lower") -> float:
         if branch != "upper":
             raise ParameterError(f"branch must be 'lower' or 'upper', got {branch!r}")
     _within(spec, x, spec._branch[0], "x")
-    try:
-        return rec.y(spec, x, branch)
-    except OverflowError:  # the parabola's (1 - sqrt(x))^m for m >= 4 and huge x
-        raise DomainError(f"{spec.family.value} y leaves the float range at x={x}") from None
+    return rec.y(spec, x, branch)
 
 
 def x_from_y_on_side(spec: CurveSpec, y: float, side: str = "left") -> float:
@@ -643,19 +639,20 @@ class _Record:
     """Everything the package knows about one family; callables take the spec first.
 
     ``params`` maps the CurveSpec fields used to (kind, help), in constructor
-    order: the one reading of each, by the spec and the CLI.  Branch reserves
-    lie in [lo, hi] of ``x_bounds`` / ``y_bounds`` (default [0, inf)), or (lo,
-    hi] when ``open_low``: the only statement of each range, which ``_within``
-    checks before any kernel runs.  A spec reads them and ``fold`` once, when it
-    is built, into its ``_branch``.  ``price(spec, state)`` is a checked state's
-    marginal price, and ``scale(spec, y)`` the size its residual is compared with.
-    ``gamma(spec, p, x)`` gets the x quoting p.
-    ``derive`` returns the spec's derived constants, stored on it as ``_consts``
-    when it is built.  Entries call private kernels, which only compute and
-    trust the spec and their arguments, or name public functions at call time
-    and never store them, so a patched or wrapped module attribute is what
-    runs.  csemm's ``at_price`` builds its state from the inverted x without a
-    second range check: every bisection midpoint lies in [0, 2 alpha].
+    order: the one reading of each, by the spec and the CLI.  ``branch(spec)`` is
+    (x bounds, left-side y bounds, right-side y bounds, fold), stored on a spec as
+    ``_branch`` when it is built: reserves lie in [lo, hi] (default [0, inf), no
+    fold), or (lo, hi] when ``open_low``, the only statement of each range, which
+    ``_within`` checks before any kernel runs.  ``price(spec, state)`` is a checked
+    state's marginal price, ``scale(spec, y)`` the size its residual is compared
+    with, and ``gamma(spec, p, x)`` gets the x quoting p.  ``derive`` returns the
+    spec's derived constants, stored on it as ``_consts``.  Entries call private
+    kernels, which only compute and trust the spec and their arguments (the
+    parabola's ``y`` refuses a y past the float range); ``csemm_x_from_price`` and
+    ``x_from_y_on_side`` are called by module attribute only because
+    ``bench/layers.py`` requires their spans.  csemm's and the parabola's
+    ``at_price`` build their state from the inverted x without a second range
+    check: bisection midpoints lie in [0, 2 alpha], and 1/(1+p)^2 >= 0 for p > -1.
     """
 
     params: dict
@@ -669,9 +666,7 @@ class _Record:
     defaults: dict = field(default_factory=dict)
     open_low: bool = False
     upper_branch: bool = False
-    x_bounds: Callable = lambda spec: (0.0, math.inf)
-    y_bounds: Callable = lambda spec, side: (0.0, math.inf)
-    fold: Callable = lambda spec: None
+    branch: Callable = lambda spec: ((0.0, math.inf), (0.0, math.inf), (0.0, math.inf), None)
     scale: Callable = lambda spec, y: 1.0
     theta: Callable | None = None  # arc angle of a state, ccmm only
     derive: Callable = lambda spec: None
@@ -788,6 +783,13 @@ def _parabola_m(m: int | None) -> None:
         raise ParameterError(f"parabola requires even integer m >= 2, got m={m}")
 
 
+def _parabola_y(spec: CurveSpec, x: float, branch: str) -> float:
+    try:
+        return (1.0 - math.sqrt(x)) ** spec.m
+    except OverflowError:  # (1 - sqrt(x))^m for m >= 4 and huge x
+        raise DomainError(f"parabola y leaves the float range at x={x}") from None
+
+
 def _parabola_x_of_y(spec: CurveSpec, y: float, side: str) -> float:
     root = y ** (1.0 / spec.m)
     return (1.0 - root) ** 2 if side == "left" else (1.0 + root) ** 2
@@ -818,9 +820,7 @@ _FAMILIES: dict[Family, _Record] = {
     Family.CCMM: _Record(
         params={"k": (float, "ccmm radius/offset")},
         check=lambda s: _require(s, 0.0, True, "k", size=True),
-        x_bounds=lambda s: (0.0, 2.0 * s.k),
-        y_bounds=lambda s, side: (0.0, s.k),
-        fold=lambda s: s.k,
+        branch=lambda s: ((0.0, 2.0 * s.k), (0.0, s.k), (0.0, s.k), s.k),
         scale=lambda s, y: s.k * s.k,
         residual=lambda s, x, y: (x - s.k) ** 2 + (y - s.k) ** 2 - s.k * s.k,
         upper_branch=True,
@@ -835,9 +835,7 @@ _FAMILIES: dict[Family, _Record] = {
         params={"alpha": (float, "csemm x-axis crossing"),
                 "beta": (float, "csemm y-axis crossing")},
         check=lambda s: _require(s, 2.0, False, "alpha", "beta"),
-        x_bounds=lambda s: (0.0, 2.0 * s.alpha),
-        y_bounds=lambda s, side: (0.0, s.beta),
-        fold=lambda s: s.alpha,
+        branch=lambda s: ((0.0, 2.0 * s.alpha), (0.0, s.beta), (0.0, s.beta), s.alpha),
         residual=_csemm_residual,
         upper_branch=True,
         y=_csemm_y,
@@ -852,14 +850,13 @@ _FAMILIES: dict[Family, _Record] = {
         params={"m": (_integer, "parabola exponent (even, default 2)")},
         defaults={"m": 2},
         check=lambda s: _parabola_m(s.m),
-        y_bounds=lambda s, side: (0.0, 1.0 if side == "left" else math.inf),
-        fold=lambda s: 1.0,
+        branch=lambda s: ((0.0, math.inf), (0.0, 1.0), (0.0, math.inf), 1.0),
         scale=lambda s, y: y if 1.0 < y < math.inf else 1.0,  # y is unbounded: max(1, y)
         residual=lambda s, x, y: y - (1.0 - math.sqrt(max(x, 0.0))) ** s.m,
-        y=lambda s, x, branch: (1.0 - math.sqrt(x)) ** s.m,
+        y=_parabola_y,
         x_of_y=_parabola_x_of_y,
         price=_parabola_price,
-        at_price=lambda s, p: state_from_x(s, _parabola_x(p, s.m)),
+        at_price=lambda s, p: PoolState(x := _parabola_x(p, s.m), _parabola_y(s, x, "lower")),
         gamma=lambda s, p, x: -2.0 / (1.0 + p) ** 3,
     ),
 }

@@ -67,13 +67,15 @@ def _validate_request(req: SwapRequest) -> None:
 
 
 def _traverse(spec: CurveSpec, state: PoolState, req: SwapRequest) -> PoolState:
-    """Post-trade state for an exact-input trade; pure."""
+    """Post-trade state for an exact-input trade, one curve solve on the family record; pure."""
+    rec = curves._FAMILIES[spec.family]
     x_bounds, y_left, y_right, fold = spec._branch
     effective = (1.0 - req.fee) * req.amount_in
     if req.token_in == TOKEN_X:
         x_new = state.x + effective
         curves._within(spec, x_new, x_bounds, "x", trade=True)
-        return curves.state_from_x(spec, x_new)
+        y_new = rec.y(spec, x_new, "lower")
+        return PoolState(x_new, y_new, rec.theta(spec, x_new, y_new) if rec.theta else None)
     y_new = state.y + effective
     # The side of the zero-price fold; a state exactly at the fold counts as
     # 'left' (positive prices), so a y-input trade from it moves that way.
@@ -83,9 +85,10 @@ def _traverse(spec: CurveSpec, state: PoolState, req: SwapRequest) -> PoolState:
         side, y_bounds = "right", y_right
     curves._within(spec, y_new, y_bounds, "y", trade=True)
     x_new = curves.x_from_y_on_side(spec, y_new, side)
-    new_state = curves.state_from_x(spec, x_new)
-    # Re-anchor y to the exact requested reserve; x solved for it.
-    return PoolState(new_state.x, y_new, new_state.theta)
+    curves._within(spec, x_new, x_bounds, "x")  # cpmm's x overflows where y nears 0
+    # y stays the exact requested reserve; ccmm's angle reads the y solved from x.
+    return PoolState(x_new, y_new,
+                     rec.theta(spec, x_new, rec.y(spec, x_new, "lower")) if rec.theta else None)
 
 
 def quote_exact_in(spec: CurveSpec, state: PoolState, req: SwapRequest) -> SwapResult:

@@ -592,7 +592,8 @@ def test_malformed_compare_specs_exit_two():
 
 
 def test_float_range_overflow_reaches_no_caller():
-    # Each of these let an OverflowError or ZeroDivisionError out of run().
+    # Each of these let an OverflowError or ZeroDivisionError out of run(), but the
+    # last: a y-in trade whose solved x overflows to inf, refused by that x's range.
     payoffs = (
         ["payoff", "--family", "ccmm", "--k", "1", "--grid", "1e110:1e120:2"],
         ["payoff", "--family", "parabola", "--grid", "1e103:1e104:2"],
@@ -606,6 +607,9 @@ def test_float_range_overflow_reaches_no_caller():
         (["swap", "--family", "ccmm", "--k", "1", "--x", "0", "--y", "1e200",
           "--token-in", "x", "--amount-in", "0.1"], "off-curve"),
         (["curve", "--family", "parabola", "--m", "4", "--grid", "1e299:1e300:2"], "x=1e+299"),
+        (["swap", "--family", "cpmm", "--L", "1e150", "--x", "1e300", "--token-in", "y",
+          "--amount-in", "-0.9999999999999998"],
+         "error: cpmm x must lie in (0, inf), got x=inf\n"),
     )
     for argv, reason in refusals:
         code, out, err = invoke(argv)

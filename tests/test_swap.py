@@ -1,5 +1,6 @@
 """Swap engine: traversal, fees, domain policing, and the zero-price fold."""
 
+import dataclasses
 import math
 import random
 
@@ -161,6 +162,13 @@ def test_cpmm_never_leaves_positive_prices():
         execute_swap(spec, PoolState(1e308, 4e-308), SwapRequest(TOKEN_X, 1e308))
     with pytest.raises(DomainExceeded):
         execute_swap(spec, PoolState(4e-308, 1e308), SwapRequest(TOKEN_Y, 1e308))
+    # y = 2.2e-16 solves to x = L^2 / y = inf, which the solved x's own range check
+    # refuses: neither the trade's y check nor the state check's residual.
+    spec = CurveSpec.cpmm(1e150)
+    with pytest.raises(DomainError) as err:
+        execute_swap(spec, state_from_x(spec, 1e300), SwapRequest(TOKEN_Y, -0.9999999999999998))
+    assert type(err.value) is DomainError
+    assert str(err.value) == "cpmm x must lie in (0, inf), got x=inf"
 
 
 def test_price_impact_known_angles():
@@ -288,29 +296,47 @@ def test_negative_price_region_x_input_yields_negative_out():
 
 
 def test_execute_swap_solves_the_curve_once(monkeypatch):
+    """Per trade the family record solves the curve once: y(x) for x in, x(y) for y
+    in, through one public x_from_y_on_side; only ccmm reads y(x) again, for its angle."""
     from negamm import curves
 
-    calls = {"state_from_x": 0, "x_from_y_on_side": 0}
-    for name in calls:
-        original = getattr(curves, name)
+    calls = []  # (what ran, whether inside the public x_from_y_on_side)
+    inside = [False]
 
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def counting(entry, original):
+        def wrapped(*args):
+            calls.append((entry, inside[0]))
+            return original(*args)
+        return wrapped
 
-        monkeypatch.setattr(curves, name, counting)
-    specs = [CurveSpec.ccmm(1.0), CurveSpec.csemm(3.0, 4.0), CurveSpec.cpmm(1.0),
-             CurveSpec.parabola(2)]
-    for spec in specs:
-        state = state_from_x(spec, 0.5)
-        for req in (SwapRequest(TOKEN_X, 0.2, 0.003), SwapRequest(TOKEN_Y, 0.1, 0.003)):
-            for name in calls:
-                calls[name] = 0
-            new, res = execute_swap(spec, state, req)
-            assert calls["state_from_x"] == 1, (spec, req)
-            assert calls["x_from_y_on_side"] == (req.token_in == TOKEN_Y), (spec, req)
-            assert res == quote_exact_in(spec, state, req)
-            assert new == res.new_state
+    for fam, rec in list(curves._FAMILIES.items()):
+        monkeypatch.setitem(curves._FAMILIES, fam, dataclasses.replace(
+            rec, y=counting("y", rec.y), x_of_y=counting("x_of_y", rec.x_of_y)))
+    public = curves.x_from_y_on_side
+
+    def x_from_y_on_side(*args):
+        calls.append(("x_from_y_on_side", inside[0]))
+        inside[0] = True
+        try:
+            return public(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(curves, "x_from_y_on_side", x_from_y_on_side)
+    for spec in ALL_FAMILIES:
+        for x in (0.5, 1.5):
+            state = state_from_x(spec, x)
+            for req in (SwapRequest(TOKEN_X, 0.2, 0.003), SwapRequest(TOKEN_Y, 0.1, 0.003)):
+                calls.clear()
+                new, res = execute_swap(spec, state, req)
+                if req.token_in == TOKEN_X:
+                    expected = [("y", False)]
+                else:
+                    expected = [("x_from_y_on_side", False), ("x_of_y", True)]
+                    expected += [("y", False)] * (spec.family == "ccmm")
+                assert calls == expected, (spec, x, req)
+                assert res == quote_exact_in(spec, state, req)
+                assert new == res.new_state
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -523,3 +549,4 @@ def test_parabola_state_with_unbounded_y_is_refused():
     with pytest.raises(DomainError, match="off-curve"):
         price_of(spec, PoolState(x, y * (1.0 + 2e-9)))
     assert residual_scale(spec) == 1.0
+

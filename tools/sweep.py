@@ -11,8 +11,9 @@ the four ``CurveSpec`` constructors) at reserves, prices and parameters at 0,
 +/-5e-324, one ulp from each branch end, 1e+/-300, +/-inf and NaN, refused
 specs included, and at states a trade returned, priced and traded again with
 the spec object that traded them, an equal but distinct spec and another
-spec (parabola y-in trades from large reserves among them); each records the
-``float.hex`` of every float it returns, or its exception's class and text.
+spec (parabola y-in trades from large reserves among them, and cpmm y-in
+trades whose solved x overflows); each records the ``float.hex`` of every
+float it returns, or its exception's class and text.
 CLI invocations run every subcommand x family x edge flag value through
 ``negamm.cli.run`` and record the exit code and the sha256 of stdout and of
 stderr.
@@ -236,6 +237,12 @@ def library_calls():
             add(("price_of", (Twin(parabola), after)))
             for b in (0.25 * y, -0.25 * y, 1.0):
                 add(("execute_swap", (parabola, after, Req("y", b, 0.0))))
+    # cpmm y-in trades from y = 1 - 2^-53 to a few ulps above 0, where x = L^2 / y: n = 1
+    # trades y to 0, n = 2**27 leaves x finite, and the rest overflow x to inf
+    cpmm = Spec("cpmm", (("L", 1e150),))
+    for n in (1, 2, 3, 8, 2**27):
+        for fn in ("quote_exact_in", "execute_swap"):
+            add((fn, (cpmm, At(cpmm, 1e300), Req("y", -(1.0 - n * 2.0**-53), 0.0))))
     for dens in ((1.0,) * 12, tuple(2.0 ** -i for i in range(12)), (0.0,) * 12, (NAN,) * 12,
                  (1.0,) * 3):
         add(("tail_index", (Points(tuple(float(i + 1) for i in range(len(dens))), dens),)))
