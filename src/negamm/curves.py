@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 from .errors import ConvergenceError, DomainError, DomainExceeded, ParameterError
 
@@ -184,10 +183,12 @@ def ccmm_y_from_x(x: float, k: float, branch: str = "lower") -> float:
     return y_from_x(CurveSpec.ccmm(k), x, branch)
 
 
-def _ccmm_y(spec: CurveSpec, x: float, branch: str) -> float:
+def _ccmm_y(spec: CurveSpec, v: float, branch: str) -> float:
+    """y(x) and, the circle being symmetric in x and y, x(y): k + root on the far
+    arc (branch 'upper', side 'right'), k - root otherwise."""
     k = spec.k
-    root = math.sqrt(x * (2.0 * k - x))
-    return k - root if branch == "lower" else k + root
+    root = math.sqrt(v * (2.0 * k - v))
+    return k + root if branch == "upper" or branch == "right" else k - root
 
 
 def csemm_y_from_x(x: float, alpha: float, beta: float, branch: str = "lower") -> float:
@@ -208,9 +209,7 @@ def _csemm_y(spec: CurveSpec, x: float, branch: str) -> float:
         return float(b)
     if branch == "upper":
         return b * (1.0 + math.exp(math.log(inner) / u_b))
-    if inner == 1.0:
-        return 0.0
-    return -b * math.expm1(math.log(inner) / u_b)
+    return 0.0 - b * math.expm1(math.log(inner) / u_b)  # near side; 0.0 - keeps the end +0.0
 
 
 def parabola_y_from_x(x: float, m: int = 2) -> float:
@@ -389,15 +388,15 @@ def ccmm_angle_from_price(p: float) -> float:
 
 
 def _csemm_seed(p: float, a: float, b: float, u_a: float, u_b: float):
-    """Halley estimate of z = ln|x/a - 1| at the reserve quoting p.
+    """Newton estimate of z = ln|x/a - 1| at the reserve quoting p.
 
     On the branch of p's sign, ln|p(z)| = ln C + (u_a-1) z - c ln(1 - e^(u_a z))
     with C = u_a b / (u_b a) and c = (u_b-1) / u_b, which is convex and
     increasing in z < 0.  The iteration starts from the root of one asymptote,
     or from e^(u_a z) = 1/2 where that is nearer: for |p| <= C the z -> -inf
     asymptote, whose root lies right of the root; for |p| > C the z -> 0 one,
-    whose root lies left of it.  Each step is Halley's, or Newton's where
-    Halley's correction to it is large; an iterate at z >= 0 ends the search.
+    whose root lies left of it.  Each step is Newton's; an iterate at z >= 0
+    ends the search.
     Returns (z, slope, size, x0): slope = d ln|p| / dz, size bounds the two z
     terms, which sets the rounding error of the price expression, and x0 is
     the reserve at z.  Returns None when p is out of reach of an exponent-1
@@ -414,22 +413,19 @@ def _csemm_seed(p: float, a: float, b: float, u_a: float, u_b: float):
                     else math.log1p(-math.exp(-w))) / u_a)
     else:
         return None
-    for _ in range(40):  # it takes at most about four steps
+    for _ in range(40):  # it takes at most about seven steps
         if not z < 0.0:
             return None
         em = -math.expm1(u_a * z)  # 1 - e^(u_a z)
         a_term = (1.0 - u_a) * z
         b_term = -c * math.log(em)
         f = b_term - a_term - q
-        g = c * u_a * (1.0 - em) / em
-        slope = (u_a - 1.0) + g
+        slope = (u_a - 1.0) + c * u_a * (1.0 - em) / em
         size = a_term + b_term + 8.0
         if abs(f) <= 2.0**-48 * size:
             d0 = -a * math.expm1(z)  # distance a(1 - e^z) from p's branch end
             return z, slope, size, (d0 if p > 0.0 else 2.0 * a - d0)
-        # Halley: Newton's step over 1 - h, h = f f''/(2 f'^2) with f'' = u_a g / em
-        h = 0.5 * f * (u_a / slope) * (g / slope) / em
-        z -= f / slope / (1.0 - h) if abs(h) < 0.5 else f / slope
+        z -= f / slope
     return None
 
 
@@ -493,7 +489,7 @@ def csemm_x_from_price(
     That float is reproduced exactly with a fraction of the price
     evaluations:
 
-    1. Seed: Halley on z = ln|x/alpha - 1|, in which ln|p| is convex and
+    1. Seed: Newton on z = ln|x/alpha - 1|, in which ln|p| is convex and
        increasing, from the root of an asymptote (``_csemm_seed``).
     2. Fences: the price at a reserve just either side of the seed.  A fence
        counts only if its price misses p by far more than the price
@@ -687,12 +683,6 @@ def _require(spec: CurveSpec, lo: float, strict: bool, *names: str,
         raise ParameterError(f"{spec.family.value} requires {rule}, got {name}={val}")
 
 
-def _ccmm_x_of_y(spec: CurveSpec, y: float, side: str) -> float:
-    k = spec.k
-    root = math.sqrt(y * (2.0 * k - y))
-    return k - root if side == "left" else k + root
-
-
 def _ccmm_price(spec: CurveSpec, state: PoolState) -> float:
     k, x = spec.k, state.x
     root = math.sqrt(x * (2.0 * k - x))
@@ -723,7 +713,7 @@ def _csemm_x_of_y(spec: CurveSpec, y: float, side: str) -> float:
     if inner == 0.0:
         return float(a)
     if side == "left":
-        return -a * math.expm1(math.log(inner) / u_a)
+        return 0.0 - a * math.expm1(math.log(inner) / u_a)  # the near-side rule of _csemm_y
     return a * (2.0 + math.expm1(math.log(inner) / u_a))
 
 
@@ -825,7 +815,7 @@ _FAMILIES: dict[Family, _Record] = {
         residual=lambda s, x, y: (x - s.k) ** 2 + (y - s.k) ** 2 - s.k * s.k,
         upper_branch=True,
         y=_ccmm_y,
-        x_of_y=_ccmm_x_of_y,
+        x_of_y=_ccmm_y,
         price=_ccmm_price,
         at_price=_ccmm_at_price,
         theta=lambda s, x, y: math.atan2(y - s.k, x - s.k) + _TWO_PI,  # atan2 in [-pi, 0]

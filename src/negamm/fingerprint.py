@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from . import curves
 from .curves import CurveSpec, Family

@@ -13,7 +13,6 @@ import csv
 import datetime
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
 
 from .errors import (
     InsufficientDataError,

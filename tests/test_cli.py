@@ -638,3 +638,20 @@ def test_analyze_reads_a_csv_with_a_utf8_bom(tmp_path):
                 for path in (plain, bom)]
         assert outs[0][0] == 0 and outs[0][1]
         assert outs[1] == outs[0]
+
+
+def test_swap_to_the_top_of_the_csemm_branch_lands_on_plus_zero():
+    # y rises to beta on the left side: the reserve x is the branch end, +0.0.
+    code, out, _ = invoke(["swap", "--family", "csemm", "--alpha", "3", "--beta", "4",
+                           "--x", "0.5", "--token-in", "y", "--amount-in", "2.315099505288941"])
+    assert code == 0
+    header, row = rows_of(out)
+    assert row[header.index("new_x")] == "0.0"
+
+
+def test_cli_import_does_not_load_typing():
+    # -S: no site module, which may import typing itself
+    probe = ("import sys; sys.path.insert(0, 'src'); import negamm.cli; "
+             "assert 'typing' not in sys.modules")
+    subprocess.run([sys.executable, "-S", "-c", probe], check=True,
+                   cwd=Path(__file__).resolve().parent.parent)

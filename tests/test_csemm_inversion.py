@@ -210,3 +210,33 @@ def test_state_from_price_is_the_checked_state_at_the_inverted_reserve(alpha, be
             got = state_from_price(spec, p)
             assert type(got) is type(want)
             assert (got.x.hex(), got.y.hex(), got.theta) == (want.x.hex(), want.y.hex(), want.theta)
+
+
+def test_seed_reaches_every_price_and_bounds_the_work(monkeypatch):
+    # The bisection oracle cannot tell a seeded inversion from one that fell back
+    # to the 200-halving replay; the seed's result and the price evaluations can.
+    from negamm import curves
+
+    calls = 0
+    price = curves._csemm_price
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return price(*args)
+
+    monkeypatch.setattr(curves, "_csemm_price", counted)
+    most = 0
+    for alpha, beta in [(CIRCLE_PARAM, CIRCLE_PARAM), (3.0, 3.0), (3.0, 4.0), (8.0, 2.5),
+                        (2.5, 7.0), (8.0, 8.0), (50.0, 3.0), (2.2, 2.2)]:
+        u_a, u_b = csemm_exponent(alpha), csemm_exponent(beta)
+        for i in range(-400, 401):
+            for p in (math.exp(i / 10.0), -math.exp(i / 10.0)):
+                assert curves._csemm_seed(p, alpha, beta, u_a, u_b) is not None, (p, alpha, beta)
+                calls = 0
+                try:
+                    csemm_x_from_price(p, alpha, beta)
+                except ConvergenceError:
+                    continue
+                most = max(most, calls)
+    assert most <= 16

@@ -534,6 +534,29 @@ def test_csemm_bottom_of_the_curve_is_the_fold_on_both_sides():
         assert x_from_y_on_side(spec, 0.0, side) == 3.0
 
 
+@pytest.mark.parametrize("spec", [
+    CurveSpec.ccmm(1.5), CurveSpec.ccmm(1e-9), CurveSpec.csemm(3.0, 4.0),
+    CurveSpec.csemm(CIRCLE_PARAM, CIRCLE_PARAM), CurveSpec.csemm(2.0, 2.0),
+    CurveSpec.csemm(8.0, 2.5), CurveSpec.csemm(3.0, 2.0), CurveSpec.csemm(1e15, 3.0),
+    CurveSpec.parabola(2), CurveSpec.parabola(4),
+], ids=lambda spec: f"{spec.family.value}-{spec.k or spec.alpha or spec.m}-{spec.beta}")
+def test_solves_at_branch_ends_return_the_exact_end_reserve(spec):
+    # Compared as float.hex, so -0.0 is not the end reserve 0.0.  cpmm's branch
+    # (0, inf) has no end.
+    if spec.family is Family.PARABOLA:
+        ys = [(0.0, "lower", 1.0), (1.0, "lower", 0.0)]
+        xs = [(0.0, "left", 1.0), (0.0, "right", 1.0), (1.0, "left", 0.0), (1.0, "right", 4.0)]
+    else:
+        a, b = (spec.k, spec.k) if spec.family is Family.CCMM else (spec.alpha, spec.beta)
+        ys = [(0.0, "lower", b), (a, "lower", 0.0), (2.0 * a, "lower", b),
+              (0.0, "upper", b), (a, "upper", 2.0 * b), (2.0 * a, "upper", b)]
+        xs = [(0.0, "left", a), (0.0, "right", a), (b, "left", 0.0), (b, "right", 2.0 * a)]
+    for x, branch, want in ys:
+        assert y_from_x(spec, x, branch).hex() == want.hex(), (x, branch)
+    for y, side, want in xs:
+        assert x_from_y_on_side(spec, y, side).hex() == want.hex(), (y, side)
+
+
 def test_price_at_zero_reserve_is_plus_infinity():
     for spec in (CurveSpec.csemm(3.0, 4.0), CurveSpec.parabola(2)):
         assert price_of(spec, state_from_x(spec, 0.0)) == math.inf
