@@ -14,21 +14,15 @@ Exit codes: 0 success, 1 domain/convergence/data errors, 2 usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
 
-from . import curves, fingerprint, payoff, series, swap
+from . import curves, series  # the commands import fingerprint, payoff, swap, json
 from .curves import CurveSpec, Family
 from .errors import NegammError
 
 _FAMILY_NAMES = [fam.value for fam in Family]
-_DOMAINS = {
-    "positive": [fingerprint.POSITIVE],
-    "negative": [fingerprint.NEGATIVE],
-    "both": [fingerprint.POSITIVE, fingerprint.NEGATIVE],
-}
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -72,6 +66,7 @@ def _json_cell(value):
 
 def _emit(header, rows, args) -> None:
     if args.output == "json":
+        import json
         payload = [
             {key: _json_cell(val) for key, val in zip(header, row)} for row in rows
         ]
@@ -83,8 +78,7 @@ def _emit(header, rows, args) -> None:
         buf = io.StringIO()
         writer = _csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([str(v) for v in row])
+        writer.writerows(rows)  # floats go out as repr, which is their str
         text = buf.getvalue()
     if args.output_path:
         with open(args.output_path, "w", encoding="utf-8", newline="") as fh:
@@ -100,6 +94,7 @@ def _cmd_curve(args, parser):
 
 
 def _cmd_swap(args, parser):
+    from . import swap
     spec = _spec_from_args(args, parser)
     if args.y is None:
         state = curves.state_from_x(spec, args.x)
@@ -133,6 +128,7 @@ def _fingerprint_rows(spec, grid, space, domain, source):
 
     The closed form is used where the family has one, unless ``source`` is numeric.
     """
+    from . import fingerprint
     eval_space = fingerprint.TICK if space == "circle" else space
     if spec.family in fingerprint._CLOSED_FORMS and source != "numeric":
         sgn = fingerprint._domain_sign(domain)
@@ -146,18 +142,21 @@ def _fingerprint_rows(spec, grid, space, domain, source):
 
 
 def _cmd_fingerprint(args, parser):
+    from . import fingerprint
     spec = _spec_from_args(args, parser)
     if args.source == "analytic" and spec.family not in fingerprint._CLOSED_FORMS:
         parser.error(
             f"{spec.family.value} has no closed-form fingerprint; use --source numeric"
         )
+    both = [fingerprint.POSITIVE, fingerprint.NEGATIVE]
     rows = []
-    for domain in _DOMAINS[args.domain]:
+    for domain in {"positive": both[:1], "negative": both[1:], "both": both}[args.domain]:
         rows.extend(_fingerprint_rows(spec, args.grid, args.space, domain, args.source))
     return ["coord", "density", "domain_sign"], rows
 
 
 def _cmd_payoff(args, parser):
+    from . import payoff
     spec = _spec_from_args(args, parser)
     rows = []
     for p in args.grid:
@@ -217,6 +216,7 @@ def _parse_compare_spec(text: str, parser):
 
 
 def _cmd_compare(args, parser):
+    from . import fingerprint
     parsed = [_parse_compare_spec(text, parser) for text in args.specs]
     columns = []
     for entry in parsed:

@@ -24,7 +24,7 @@ per family in sqrt-price coordinates, kept in ``_CLOSED_FORMS``.
 from __future__ import annotations
 
 import math
-import statistics
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from . import curves
@@ -255,6 +255,7 @@ def tail_index(samples: Sequence[FingerprintSample]) -> float:
         raise InsufficientDataError(
             f"tail fit needs at least 10 positive samples, got {len(points)}"
         )
+    import statistics
     try:
         fit = statistics.linear_regression(*zip(*points))
     except statistics.StatisticsError as exc:  # every coordinate is the same

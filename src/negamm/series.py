@@ -9,9 +9,9 @@ epsilon guard and an explicit skip count.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import (
@@ -58,6 +58,7 @@ def load_series(path) -> PriceSeries:
 
     Errors name the offending row (1-based, header included) and column; a UTF-8 BOM is skipped.
     """
+    import csv
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -157,7 +158,7 @@ def negative_price_stats(series: PriceSeries) -> dict[int, YearStats]:
 
 
 def hill_tail_index(
-    ret: Union[ReturnSeries, Sequence[float], Iterable[float]], top_k: int
+    ret: ReturnSeries | Sequence[float] | Iterable[float], top_k: int
 ) -> float:
     """Hill estimator of the tail index of |returns|.
 

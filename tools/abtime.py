@@ -4,6 +4,7 @@
     python tools/abtime.py --against PARENT           # min of 25 repeats per side
     python tools/abtime.py --against PARENT -k 51     # more repeats
     python tools/abtime.py --against . --quick        # smoke run, short repeats
+    python tools/abtime.py --against PARENT --cli     # CLI spawns, min of 5 rounds
 
 One process loads ``negamm`` from the parent tree's ``src`` and then from
 this tree's, each under its own module objects, so the two copies run side by
@@ -14,8 +15,17 @@ other, alternating which goes first, ``k`` times each; the min of each side
 is printed in microseconds with the change/parent ratio.  A repeat runs about
 5 ms of calls, the same number on both sides, set from the parent's first run.
 
+``--cli`` times whole processes instead: ``python -m negamm.cli`` runs of the
+benchmark's fixed invocations (``FIXED_INVOCATIONS`` in ``bench/workloads.py``)
+and its three ``analyze`` runs on a series ``make_series`` writes for seed 1
+into a temporary directory.  Each round runs every invocation on both trees,
+one after the other, alternating which goes first.  It prints each
+invocation's minimum per side in milliseconds, then the rate over the sum of
+the minima (the benchmark's ``ops_per_s``) and their median.
+
 The standard library only.  It asserts no timing: the exit code is 1 only if
-a tree cannot be loaded or a primitive raises.
+a tree cannot be loaded, a primitive raises, or, with ``--cli``, the two
+trees' exit codes or stdout differ.
 """
 
 from __future__ import annotations
@@ -24,14 +34,22 @@ import argparse
 import importlib
 import math
 import os
+import statistics
 import sys
+import tempfile
 import timeit
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def load(tree: str):
-    """The ``negamm`` package of ``tree``'s ``src``, imported afresh."""
+    """The ``negamm`` package of ``tree``'s ``src``, imported afresh.
+
+    The package binds its public names on their first read, importing its
+    submodules relative to whichever ``negamm`` is then in ``sys.modules``, so
+    they are read here, before another tree is loaded, and checked to come
+    from this tree's files.
+    """
     src = os.path.join(os.path.abspath(tree), "src")
     for name in [n for n in sys.modules if n == "negamm" or n.startswith("negamm.")]:
         del sys.modules[name]
@@ -42,6 +60,11 @@ def load(tree: str):
         sys.path.remove(src)
     if not os.path.abspath(pkg.__file__).startswith(src + os.sep):
         raise SystemExit(f"abtime: negamm loaded from {pkg.__file__}, not from {src}")
+    for name in pkg.__all__:
+        code = getattr(getattr(pkg, name), "__code__", None)
+        if code is not None and not os.path.abspath(code.co_filename).startswith(src + os.sep):
+            raise SystemExit(f"abtime: negamm.{name} loaded from {code.co_filename}, "
+                             f"not from {src}")
     return pkg
 
 
@@ -85,18 +108,72 @@ PRIMITIVES = (
 )
 
 
+def cli_invocations(directory: str) -> tuple[list, object]:
+    """The benchmark's fixed invocations and seeded analyze runs, and its ``run_cli``."""
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    series = os.path.join(directory, "series-1.csv")
+    workloads.make_series(1, series)
+    seeded = [["analyze", "--input", series, "--stat", stat]
+              for stat in ("negative-days", "returns")]
+    seeded.append(["analyze", "--input", series, "--stat", "hill",
+                   "--top-k", str(workloads.HILL_TOP_K)])
+    return workloads.FIXED_INVOCATIONS + seeded, workloads.run_cli
+
+
+def time_cli(roots: tuple[str, str], k: int) -> int:
+    """Alternating CLI spawns of the two trees; 1 if their outputs differ."""
+    with tempfile.TemporaryDirectory() as directory:
+        invocations, run_cli = cli_invocations(directory)
+        best = [[math.inf] * len(invocations) for _ in roots]
+        outputs = [[None] * len(invocations) for _ in roots]
+        for r in range(k):
+            for i, argv in enumerate(invocations):
+                for side in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
+                    code, out, _, ns = run_cli(roots[side], argv)
+                    best[side][i] = min(best[side][i], ns / 1e6)
+                    outputs[side][i] = (code, out)
+    print(f"{'invocation':60} {'parent ms':>10} {'change ms':>10} {'ratio':>7}")
+    for i, argv in enumerate(invocations):
+        label = " ".join(argv)
+        label = label if len(label) <= 60 else label[:57] + "..."
+        print(f"{label:60} {best[0][i]:10.2f} {best[1][i]:10.2f} {best[1][i] / best[0][i]:7.3f}")
+    rates = [len(mins) / sum(mins) * 1e3 for mins in best]
+    medians = [statistics.median(mins) for mins in best]
+    print(f"{'ops/s over the sum of the minima':60} {rates[0]:10.2f} {rates[1]:10.2f} "
+          f"{rates[1] / rates[0]:7.3f}")
+    print(f"{'median of the minima, ms':60} {medians[0]:10.2f} {medians[1]:10.2f} "
+          f"{medians[1] / medians[0]:7.3f}")
+    differ = [" ".join(argv) for argv, a, b in zip(invocations, *outputs) if a != b]
+    for label in differ:
+        print(f"abtime: exit code or stdout differs: {label}", file=sys.stderr)
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--against", required=True, metavar="TREE",
                     help="the parent tree: a checkout whose src/negamm is timed first")
-    ap.add_argument("-k", type=int, default=25, help="repeats per side (default 25)")
+    ap.add_argument("-k", type=int, help="repeats per side (default 25, or 5 rounds with --cli)")
     ap.add_argument("--quick", action="store_true",
-                    help="2 repeats of about 2 ms per side: a smoke run, not a measurement")
+                    help="2 repeats of about 2 ms per side (1 round with --cli): "
+                         "a smoke run, not a measurement")
+    ap.add_argument("--cli", action="store_true",
+                    help="time python -m negamm.cli spawns of the benchmark's invocations")
     args = ap.parse_args(argv)
-    k, budget = (2, 0.002) if args.quick else (max(args.k, 1), 0.005)
-    trees = (load(args.against), load(ROOT))
+    if args.cli:
+        k = 1 if args.quick else max(args.k or 5, 1)
+    else:
+        k, budget = (2, 0.002) if args.quick else (max(args.k or 25, 1), 0.005)
     print(f"# parent {os.path.abspath(args.against)}, change {ROOT}")
-    print(f"# Python {sys.version.split()[0]}, min of {k} alternating repeats per side")
+    print(f"# Python {sys.version.split()[0]}, min of {k} alternating "
+          f"{'rounds' if args.cli else 'repeats'} per side")
+    if args.cli:
+        return time_cli((os.path.abspath(args.against), ROOT), k)
+    trees = (load(args.against), load(ROOT))
     print(f"{'primitive':40} {'parent us':>10} {'change us':>10} {'ratio':>7}")
     ratios = []
     for label, stmt, (_, build) in PRIMITIVES:
