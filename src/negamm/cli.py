@@ -18,11 +18,12 @@ import math
 import re
 import sys
 
-from . import curves, series  # the commands import fingerprint, payoff, swap, json
+from . import curves  # the commands import fingerprint, payoff, series, swap, json
 from .curves import CurveSpec, Family
 from .errors import NegammError
 
 _FAMILY_NAMES = [fam.value for fam in Family]
+_MODES = ("arithmetic_diff", "percent")  # series.ARITHMETIC_DIFF, series.PERCENT
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -166,6 +167,7 @@ def _cmd_payoff(args, parser):
 
 
 def _cmd_analyze(args, parser):
+    from . import series
     data = series.load_series(args.input)
     if args.stat == "negative-days":
         stats = series.negative_price_stats(data)
@@ -296,7 +298,10 @@ def _add_common(sub, command, needs_family: bool, needs_grid: bool) -> None:
 _NEGATIVE_VALUE = re.compile(r"^-\d|^-\.\d")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The negamm parser.  Every subcommand is listed, so the top-level usage and
+    help never change, but with ``command`` only the subcommand of that name (if
+    any) gets its flags."""
     parser = argparse.ArgumentParser(
         prog="negamm",
         description="Invariant curves, swaps and liquidity analytics for "
@@ -305,73 +310,75 @@ def _build_parser() -> argparse.ArgumentParser:
     parser._negative_number_matcher = _NEGATIVE_VALUE
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_curve = subs.add_parser("curve", help="sample (x, y) points of an invariant")
-    _add_common(p_curve, _cmd_curve, needs_family=True, needs_grid=True)
-    p_curve.add_argument("--branch", choices=("lower", "upper"), default="lower")
-
-    p_swap = subs.add_parser("swap", help="execute one exact-input swap")
-    _add_common(p_swap, _cmd_swap, needs_family=True, needs_grid=False)
-    p_swap.add_argument("--x", type=float, required=True, help="current x reserve")
-    p_swap.add_argument("--y", type=float, help="current y reserve (else derived)")
-    p_swap.add_argument("--token-in", choices=("x", "y"), required=True)
-    p_swap.add_argument("--amount-in", type=float, required=True)
-    p_swap.add_argument("--fee", type=float, default=0.0)
-
-    p_fp = subs.add_parser("fingerprint", help="liquidity density samples")
-    _add_common(p_fp, _cmd_fingerprint, needs_family=True, needs_grid=True)
-    p_fp.add_argument(
-        "--space", choices=("sqrtprice", "tick", "circle"), default="sqrtprice"
-    )
-    p_fp.add_argument(
-        "--domain", choices=("positive", "negative", "both"), default="positive"
-    )
-    p_fp.add_argument(
-        "--source",
-        choices=("auto", "analytic", "numeric"),
-        default="auto",
-        help="closed form where available (auto), or force the numeric oracle",
-    )
-
-    p_pay = subs.add_parser("payoff", help="LP value, delta, gamma, theta")
-    _add_common(p_pay, _cmd_payoff, needs_family=True, needs_grid=True)
-    p_pay.add_argument("--sigma-iv", type=float, default=0.0)
-
-    p_an = subs.add_parser("analyze", help="price-history statistics")
-    _add_common(p_an, _cmd_analyze, needs_family=False, needs_grid=False)
-    p_an.add_argument("--input", required=True, help="CSV with header date,price")
-    p_an.add_argument(
-        "--stat",
-        choices=("negative-days", "returns", "squared-returns", "hill"),
-        default="negative-days",
-    )
-    p_an.add_argument(
-        "--mode",
-        choices=(series.ARITHMETIC_DIFF, series.PERCENT),
-        default=series.ARITHMETIC_DIFF,
-    )
-    p_an.add_argument("--eps", type=float, default=1e-9)
-    p_an.add_argument("--top-k", type=int, default=50)
-
-    p_cmp = subs.add_parser("compare", help="aligned fingerprints of several curves")
-    _add_common(p_cmp, _cmd_compare, needs_family=False, needs_grid=True)
-    p_cmp.add_argument(
-        "--specs",
-        nargs="+",
-        required=True,
-        metavar="SPEC",
-        help="e.g. ccmm:k=1 csemm:alpha=3,beta=3 gaussian:mu=0,sigma=1.4,mass=2",
-    )
-    p_cmp.add_argument("--space", choices=("sqrtprice", "tick"), default="tick")
-
-    for sub in subs.choices.values():
+    def add(name, text, run, **needs):  # the subparser, if its flags are to be built
+        sub = subs.add_parser(name, help=text)
         sub._negative_number_matcher = _NEGATIVE_VALUE
+        if command is None or command == name:
+            _add_common(sub, run, **needs)
+            return sub
+        return None
+
+    if p_curve := add("curve", "sample (x, y) points of an invariant", _cmd_curve,
+                      needs_family=True, needs_grid=True):
+        p_curve.add_argument("--branch", choices=("lower", "upper"), default="lower")
+
+    if p_swap := add("swap", "execute one exact-input swap", _cmd_swap,
+                     needs_family=True, needs_grid=False):
+        p_swap.add_argument("--x", type=float, required=True, help="current x reserve")
+        p_swap.add_argument("--y", type=float, help="current y reserve (else derived)")
+        p_swap.add_argument("--token-in", choices=("x", "y"), required=True)
+        p_swap.add_argument("--amount-in", type=float, required=True)
+        p_swap.add_argument("--fee", type=float, default=0.0)
+
+    if p_fp := add("fingerprint", "liquidity density samples", _cmd_fingerprint,
+                   needs_family=True, needs_grid=True):
+        p_fp.add_argument(
+            "--space", choices=("sqrtprice", "tick", "circle"), default="sqrtprice"
+        )
+        p_fp.add_argument(
+            "--domain", choices=("positive", "negative", "both"), default="positive"
+        )
+        p_fp.add_argument(
+            "--source",
+            choices=("auto", "analytic", "numeric"),
+            default="auto",
+            help="closed form where available (auto), or force the numeric oracle",
+        )
+
+    if p_pay := add("payoff", "LP value, delta, gamma, theta", _cmd_payoff,
+                    needs_family=True, needs_grid=True):
+        p_pay.add_argument("--sigma-iv", type=float, default=0.0)
+
+    if p_an := add("analyze", "price-history statistics", _cmd_analyze,
+                   needs_family=False, needs_grid=False):
+        p_an.add_argument("--input", required=True, help="CSV with header date,price")
+        p_an.add_argument(
+            "--stat",
+            choices=("negative-days", "returns", "squared-returns", "hill"),
+            default="negative-days",
+        )
+        p_an.add_argument("--mode", choices=_MODES, default=_MODES[0])
+        p_an.add_argument("--eps", type=float, default=1e-9)
+        p_an.add_argument("--top-k", type=int, default=50)
+
+    if p_cmp := add("compare", "aligned fingerprints of several curves", _cmd_compare,
+                    needs_family=False, needs_grid=True):
+        p_cmp.add_argument(
+            "--specs",
+            nargs="+",
+            required=True,
+            metavar="SPEC",
+            help="e.g. ccmm:k=1 csemm:alpha=3,beta=3 gaussian:mu=0,sigma=1.4,mass=2",
+        )
+        p_cmp.add_argument("--space", choices=("sqrtprice", "tick"), default="tick")
 
     return parser
 
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
+    # The first argument names the subcommand unless it is an option (--params, -h).
+    parser = _build_parser(argv[0] if argv and not argv[0].startswith("-") else None)
     try:
         args = parser.parse_args(_expand_params(argv, parser))
         if args.params is not None:  # an abbreviation, or --params inside a file

@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from enum import Enum
 
+from ._value import Factory, Value
 from .errors import ConvergenceError, DomainError, DomainExceeded, ParameterError
 
 _TWO_PI = 2.0 * math.pi
@@ -64,8 +64,7 @@ class Family(str, Enum):
     PARABOLA = "parabola"
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(Value):
     """Immutable description of one pool's invariant.
 
     Only the fields relevant to ``family`` are set; the rest stay None.  Each is
@@ -84,7 +83,18 @@ class CurveSpec:
     m: int | None = None
     L: float | None = None
 
-    def __post_init__(self):
+    def __init__(self, family: Family, k: float | None = None, alpha: float | None = None,
+                 beta: float | None = None, m: int | None = None, L: float | None = None):
+        set_field = object.__setattr__  # as Value's __init__: trades read these fields
+        set_field(self, "family", family)
+        set_field(self, "k", k)
+        set_field(self, "alpha", alpha)
+        set_field(self, "beta", beta)
+        set_field(self, "m", m)
+        set_field(self, "L", L)
+        self.__post_init__()
+
+    def __post_init__(self):  # every build, replace included, reads and checks the fields here
         if not isinstance(self.family, Family):
             object.__setattr__(self, "family", Family(self.family))
         rec = _FAMILIES[self.family]
@@ -117,8 +127,7 @@ class CurveSpec:
         return cls(Family.CPMM, L=L)
 
 
-@dataclass(frozen=True, init=False)
-class PoolState:
+class PoolState(Value):
     """Reserves of one pool.  ``theta`` is the arc angle, ccmm only.
 
     On the ccmm trading arc theta runs through [pi, 2*pi]:
@@ -133,7 +142,8 @@ class PoolState:
     theta: float | None = None
 
     # Fields go straight into the instance's own __dict__, past the frozen __setattr__:
-    # the cheapest build (as for every value class).
+    # the cheapest build (as for the other per-call results: GreeksPoint, SwapResult and
+    # FingerprintSample).  Classes read more than built set theirs through object.__setattr__.
     def __init__(self, x: float, y: float, theta: float | None = None):
         d = self.__dict__
         d["x"] = x
@@ -631,8 +641,7 @@ def state_from_price(spec: CurveSpec, p: float) -> PoolState:
 # ------------------------------------------------------------ family table
 
 
-@dataclass(frozen=True)
-class _Record:
+class _Record(Value):
     """Everything the package knows about one family; callables take the spec first.
 
     ``params`` maps the CurveSpec fields used to (kind, help), in constructor
@@ -660,7 +669,7 @@ class _Record:
     price: Callable
     at_price: Callable
     gamma: Callable
-    defaults: dict = field(default_factory=dict)
+    defaults: dict = Factory(dict)
     open_low: bool = False
     upper_branch: bool = False
     branch: Callable = lambda spec: ((0.0, math.inf), (0.0, math.inf), (0.0, math.inf), None)

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 
 from . import curves
+from ._value import Value
 from .curves import CurveSpec, Family
 from .errors import DomainError, InsufficientDataError, ParameterError
 
@@ -38,8 +38,7 @@ SQRTPRICE = "sqrtprice"
 TICK = "tick"
 
 
-@dataclass(frozen=True, init=False)
-class FingerprintSample:
+class FingerprintSample(Value):
     """One point of a liquidity fingerprint.
 
     ``coord`` is sqrt(|p|) in sqrtprice space or ln|p| in tick space;

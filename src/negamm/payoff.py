@@ -17,15 +17,14 @@ here cross zero, so lognormal vol is meaningless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import curves
+from ._value import Value
 from .curves import CurveSpec
 from .errors import ParameterError
 
 
-@dataclass(frozen=True, init=False)
-class GreeksPoint:
+class GreeksPoint(Value):
     """Payoff and sensitivities of one curve at one price."""
 
     p: float

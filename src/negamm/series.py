@@ -12,8 +12,8 @@ from __future__ import annotations
 import datetime
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import (
     InsufficientDataError,
     MonotonicityError,
@@ -25,8 +25,9 @@ ARITHMETIC_DIFF = "arithmetic_diff"
 PERCENT = "percent"
 
 
-@dataclass(frozen=True)
-class PriceSeries:
+class PriceSeries(Value):
+    """Prices by date, as ``load_series`` reads them."""
+
     dates: tuple[datetime.date, ...]
     prices: tuple[float, ...]
 
@@ -34,8 +35,7 @@ class PriceSeries:
         return len(self.prices)
 
 
-@dataclass(frozen=True)
-class ReturnSeries:
+class ReturnSeries(Value):
     """Per-step returns; ``skipped`` counts pairs dropped by the eps guard."""
 
     mode: str
@@ -47,8 +47,9 @@ class ReturnSeries:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class YearStats:
+class YearStats(Value):
+    """One calendar year's count of negative prints and its lowest price."""
+
     negative_days: int
     min_price: float
 

@@ -18,9 +18,9 @@ price asymptotes.  All functions are pure; no state is mutated once returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import curves
+from ._value import Value
 from .curves import CurveSpec, PoolState
 from .errors import InvalidFee, ParameterError
 
@@ -28,17 +28,21 @@ TOKEN_X = "x"
 TOKEN_Y = "y"
 
 
-@dataclass(frozen=True)
-class SwapRequest:
+class SwapRequest(Value):
     """One exact-input trade: which token goes in, how much, at what fee."""
 
     token_in: str
     amount_in: float
     fee: float = 0.0
 
+    def __init__(self, token_in: str, amount_in: float, fee: float = 0.0):
+        set_field = object.__setattr__  # as Value's __init__: a trade reads these fields
+        set_field(self, "token_in", token_in)
+        set_field(self, "amount_in", amount_in)
+        set_field(self, "fee", fee)
 
-@dataclass(frozen=True, init=False)
-class SwapResult:
+
+class SwapResult(Value):
     """Outcome of one exact-input trade; ``new_state`` is where it leaves the pool."""
 
     amount_out: float

@@ -10,7 +10,7 @@ import shutil
 import subprocess
 import sys
 import typing
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -124,6 +124,80 @@ def test_annotations_resolve():
             typing.get_type_hints(obj)  # raises NameError on an unimported name
 
 
+# What a CLI process no longer loads: the dataclass machinery (the value classes
+# have their own base), and series with datetime except for analyze.
+NOT_LOADED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "datetime", "negamm.series")
+
+COMMAND_ARGV = {
+    "curve": ["curve", "--family", "ccmm", "--k", "1", "--grid", "0:2:3"],
+    "swap": ["swap", "--family", "ccmm", "--k", "1", "--x", "0.5", "--token-in", "x",
+             "--amount-in", "0.1"],
+    "fingerprint": ["fingerprint", "--family", "ccmm", "--k", "1", "--grid", "1:2:3"],
+    "payoff": ["payoff", "--family", "ccmm", "--k", "1", "--grid", "0:2:3"],
+    "analyze": ["analyze", "--input", "tests/data/spot_prices.csv", "--stat", "hill",
+                "--top-k", "3"],
+    "compare": ["compare", "--specs", "ccmm:k=1", "--grid", "0:1:3"],
+}
+
+
+def test_import_cli_loads_no_dataclasses_and_no_series():
+    loaded = probe(f"import negamm.cli\nprint([m for m in {NOT_LOADED!r} if m in sys.modules])")
+    assert loaded == []
+
+
+@pytest.mark.parametrize("command", COMMAND_ARGV)
+def test_only_analyze_loads_series(command):
+    code, loaded = probe(
+        "import io, contextlib, negamm.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = negamm.cli.run({COMMAND_ARGV[command]!r})\n"
+        f"print((code, [m for m in {NOT_LOADED!r} if m in sys.modules]))")
+    assert (code, loaded) == (0, ["datetime", "negamm.series"] if command == "analyze" else [])
+
+
+def test_mode_choices_are_the_series_modes():
+    from negamm import series
+
+    for command in (None, "analyze"):
+        sub = cli._build_parser(command)._subparsers._group_actions[0].choices["analyze"]
+        mode = next(a for a in sub._actions if a.dest == "mode")
+        assert tuple(mode.choices) == (series.ARITHMETIC_DIFF, series.PERCENT)
+        assert mode.default == series.ARITHMETIC_DIFF
+
+
+def parse_output(parser, argv):
+    """(exit code, stdout, stderr) of ``parser.parse_args(argv)``, which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", COMMAND_ARGV)
+def test_a_parser_built_for_one_command_prints_the_same_help_and_errors(command):
+    cases = [[command, "--help"], [command], [command, "--no-such-flag"], ["--help"], [],
+             ["no-such-command"], COMMAND_ARGV[command] + ["--output", "xml"]]
+    for argv in cases:
+        full = parse_output(cli._build_parser(), argv)
+        assert parse_output(cli._build_parser(command), argv) == full, argv
+        assert full[0] in (0, 2) and (full[1] or full[2])
+
+
+def test_run_builds_only_the_named_command_and_reports_usage_as_before(monkeypatch):
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda command=None: built.append(command) or build(command))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = cli.run(["curve", "--family", "ccmm", "--grid", "0:1:3"])
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        codes = [cli.run(argv) for argv in (["--help"], [])]
+    assert (code, codes, built) == (2, [0, 2], ["curve", None, None])
+    usage = build().format_usage()
+    assert err.getvalue() == usage + "negamm: error: --k is required for --family ccmm\n"
+
+
 # ------------------------------------------------------------ tools/abtime.py
 
 
@@ -151,3 +225,17 @@ def test_abtime_loads_each_tree_from_its_own_src(abtime, tmp_path, order):
         src = str(tmp_path / tree / "src") + os.sep
         for name in ("execute_swap", "state_from_price", "greeks", "load_series"):
             assert getattr(pkg, name).__code__.co_filename.startswith(src), (tree, name)
+
+
+def test_abtime_cli_header_says_whether_spawns_compile(abtime, tmp_path):
+    (tmp_path / "a" / "src" / "negamm" / "__pycache__").mkdir(parents=True)
+    (tmp_path / "b" / "src" / "negamm").mkdir(parents=True)
+    roots = (str(tmp_path / "a"), str(tmp_path / "b"))
+    off, on = (abtime.bytecode_header(roots, env)
+               for env in ({"PYTHONDONTWRITEBYTECODE": "1"}, {"PYTHONDONTWRITEBYTECODE": ""}))
+    assert off[0] == ("# spawned interpreters write bytecode: "
+                      "no, PYTHONDONTWRITEBYTECODE is set in their environment")
+    assert on[0] == "# spawned interpreters write bytecode: yes"
+    assert off[1:] == on[1:] == [
+        "# parent src/negamm/__pycache__ before the first spawn: present",
+        "# change src/negamm/__pycache__ before the first spawn: absent"]

@@ -21,7 +21,9 @@ and its three ``analyze`` runs on a series ``make_series`` writes for seed 1
 into a temporary directory.  Each round runs every invocation on both trees,
 one after the other, alternating which goes first.  It prints each
 invocation's minimum per side in milliseconds, then the rate over the sum of
-the minima (the benchmark's ``ops_per_s``) and their median.
+the minima (the benchmark's ``ops_per_s``) and their median.  Its header says
+whether the spawns can write bytecode and whether each tree has it already:
+where neither holds, every spawn compiles the sources it imports.
 
 The standard library only.  It asserts no timing: the exit code is 1 only if
 a tree cannot be loaded, a primitive raises, or, with ``--cli``, the two
@@ -124,6 +126,22 @@ def cli_invocations(directory: str) -> tuple[list, object]:
     return workloads.FIXED_INVOCATIONS + seeded, workloads.run_cli
 
 
+def bytecode_header(roots: tuple[str, str], env) -> list[str]:
+    """Whether the spawns can write bytecode, and which trees hold some already.
+
+    Where they cannot and a tree has none, every timed spawn compiles the
+    ``negamm`` sources it imports, and the times include that compilation.
+    """
+    can = not env.get("PYTHONDONTWRITEBYTECODE")
+    lines = [f"# spawned interpreters write bytecode: "
+             f"{'yes' if can else 'no, PYTHONDONTWRITEBYTECODE is set in their environment'}"]
+    for label, root in zip(("parent", "change"), roots):
+        cache = os.path.isdir(os.path.join(root, "src", "negamm", "__pycache__"))
+        lines.append(f"# {label} src/negamm/__pycache__ before the first spawn: "
+                     f"{'present' if cache else 'absent'}")
+    return lines
+
+
 def time_cli(roots: tuple[str, str], k: int) -> int:
     """Alternating CLI spawns of the two trees; 1 if their outputs differ."""
     with tempfile.TemporaryDirectory() as directory:
@@ -172,7 +190,9 @@ def main(argv=None) -> int:
     print(f"# Python {sys.version.split()[0]}, min of {k} alternating "
           f"{'rounds' if args.cli else 'repeats'} per side")
     if args.cli:
-        return time_cli((os.path.abspath(args.against), ROOT), k)
+        roots = (os.path.abspath(args.against), ROOT)
+        print("\n".join(bytecode_header(roots, os.environ)))  # the spawns inherit os.environ
+        return time_cli(roots, k)
     trees = (load(args.against), load(ROOT))
     print(f"{'primitive':40} {'parent us':>10} {'change us':>10} {'ratio':>7}")
     ratios = []
