@@ -101,27 +101,11 @@ def _cmd_swap(args, parser):
         state = curves.state_from_x(spec, args.x)
     else:
         state = curves.PoolState(args.x, args.y)
-    req = swap.SwapRequest(
-        token_in=args.token_in, amount_in=args.amount_in, fee=args.fee
-    )
+    req = swap.SwapRequest(token_in=args.token_in, amount_in=args.amount_in, fee=args.fee)
     new_state, result = swap.execute_swap(spec, state, req)
-    header = [
-        "amount_out",
-        "price_before",
-        "price_after",
-        "residual_after",
-        "new_x",
-        "new_y",
-    ]
-    row = [
-        result.amount_out,
-        result.price_before,
-        result.price_after,
-        result.residual_after,
-        new_state.x,
-        new_state.y,
-    ]
-    return header, [row]
+    header = ["amount_out", "price_before", "price_after", "residual_after", "new_x", "new_y"]
+    return header, [[result.amount_out, result.price_before, result.price_after,
+                     result.residual_after, new_state.x, new_state.y]]
 
 
 def _fingerprint_rows(spec, grid, space, domain, source):
@@ -252,20 +236,22 @@ def _expand_params(argv: list[str], parser: argparse.ArgumentParser) -> list[str
         path = path if eq else next(args, "")
         if not path:
             parser.error("--params needs a file path")
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, eq, val = (part.strip() for part in line.partition("="))
-                if not (key and eq and val):
-                    parser.error(
-                        f"{path}: line {lineno}: expected key = value, got {raw.strip()!r}"
-                    )
-                if key == "specs":
-                    expanded.extend(["--specs", *val.split()])
-                else:
-                    expanded.extend([f"--{key}", val])
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            parser.error(f"{path}: not UTF-8 ({exc.reason})")
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, eq, val = (part.strip() for part in line.partition("="))
+            if not (key and eq and val):
+                parser.error(f"{path}: line {lineno}: expected key = value, got {raw.strip()!r}")
+            if key == "specs":
+                expanded.extend(["--specs", *val.split()])
+            else:
+                expanded.extend([f"--{key}", val])
     return expanded
 
 

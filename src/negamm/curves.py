@@ -29,7 +29,8 @@ its branch (the record's ``branch``) once, when it is built; trades and
 checks read that resolved branch.  The record's bounds are the only statement
 of each reserve range: reserves, states, branch names and prices are checked
 once (``_within``, ``_check``, ``y_from_x``, ``state_from_price``), and the
-kernels only compute.
+kernels only compute.  A trade is one ``_trade``: it builds its new state (x in
+through ``_at_x``, as ``state_from_x``), checks it and stores its price.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ class PoolState(Value):
     On the ccmm trading arc theta runs through [pi, 2*pi]:
     x = k*(1+cos(theta)), y = k*(1+sin(theta)), price p = cot(theta).
 
-    A traded state keeps its checked price in the slot ``_checked``, not a field; see price_of.
+    Slot ``_checked`` (not a field): a traded state's price, written by _trade, read by price_of.
     """
 
     __slots__ = ("__dict__", "__weakref__", "_checked")
@@ -364,13 +365,33 @@ def price_of(spec: CurveSpec, state: PoolState) -> float:
     (plotting) branch: y above the trading branch away from the endpoints, where
     both branches meet.
 
-    swap.quote_exact_in stores (spec, price) in a state it returns, and that price
-    is returned for that very spec object; any other spec gets the full check.
+    _trade stores (spec, price) in a state it returns, and that price is returned
+    for that very spec object; any other spec gets the full check.
     """
     checked = getattr(state, "_checked", None)
     if checked is not None and checked[0] is spec:
         return checked[1]
     return _check(spec, state)[0]
+
+
+def _trade(spec: CurveSpec, state: PoolState, token_x: bool, effective: float) -> tuple:
+    """(new state, its price, its residual) once ``effective`` of X (``token_x``) or of Y
+    enters the pool: one curve solve on the family record, one full check of the state."""
+    if token_x:
+        new = _at_x(spec, state.x + effective, trade=True)
+    else:  # y moves on the state's side of the zero-price fold; at the fold, 'left' (p > 0)
+        x_bounds, y_left, y_right, fold = spec._branch
+        y = state.y + effective
+        left = fold is None or state.x <= fold
+        _within(spec, y, y_left if left else y_right, "y", trade=True)
+        x = x_from_y_on_side(spec, y, "left" if left else "right")
+        _within(spec, x, x_bounds, "x")  # cpmm's x overflows where y nears 0
+        # y stays the exact requested reserve; ccmm's angle reads the y solved from x.
+        rec = _FAMILIES[spec.family]
+        new = PoolState(x, y, rec.theta(spec, x, rec.y(spec, x, "lower")) if rec.theta else None)
+    price, res = _check(spec, new)
+    object.__setattr__(new, "_checked", (spec, price))  # not yet seen by any caller
+    return new, price, res
 
 
 def _check(spec: CurveSpec, state: PoolState) -> tuple[float, float]:
@@ -621,10 +642,18 @@ def _parabola_x(p: float, m: int) -> float:
 
 def state_from_x(spec: CurveSpec, x: float) -> PoolState:
     """Build the on-curve trading-branch state at reserve x."""
-    y = y_from_x(spec, x)
+    return _at_x(spec, x)
+
+
+def _at_x(spec: CurveSpec, x: float, trade: bool = False) -> PoolState:
+    """The trading-branch state at x, for state_from_x and a trade's x in.  x is
+    range-checked and solved as given, so a refusal names it so, and only then
+    read as a float; ``trade`` words the refusal as the trade's (see _within)."""
+    _within(spec, x, spec._branch[0], "x", trade=trade)
+    rec = _FAMILIES[spec.family]
+    y = rec.y(spec, x, "lower")
     x = float(x)
-    theta = _FAMILIES[spec.family].theta
-    return PoolState(x, y, theta(spec, x, y) if theta else None)
+    return PoolState(x, y, rec.theta(spec, x, y) if rec.theta else None)
 
 
 def state_from_price(spec: CurveSpec, p: float) -> PoolState:

@@ -57,11 +57,24 @@ class YearStats(Value):
 def load_series(path) -> PriceSeries:
     """Read a ``date,price`` CSV into a PriceSeries.
 
-    Errors name the offending row (1-based, header included) and column; a UTF-8 BOM is skipped.
+    Errors name the offending row (1-based, header included) and column, or the byte
+    where the file stops being UTF-8; a UTF-8 BOM is skipped.
     """
     import csv
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
+    rows = []  # extend keeps the rows read before a csv.Error, so it names the next
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows.extend(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:  # once more, whole: exc counts from the chunk it decoded
+            raw = fh.read()
+        try:
+            raw.decode("utf-8")  # a BOM is UTF-8 too, so this counts from the file's start
+        except UnicodeDecodeError as whole:
+            exc = whole
+        raise SeriesParseError(f"{path}: byte {exc.start}: not UTF-8 ({exc.reason})") from None
+    except csv.Error as exc:  # a field over csv's limit, or a NUL before Python 3.11
+        raise SeriesParseError(f"{path}: row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise SeriesError(f"{path}: empty series (no header row)")
     header = [cell.strip().lower() for cell in rows[0]]

@@ -70,42 +70,14 @@ def _validate_request(req: SwapRequest) -> None:
         raise InvalidFee(f"fee must lie in [0, 1), got {req.fee}")
 
 
-def _traverse(spec: CurveSpec, state: PoolState, req: SwapRequest) -> PoolState:
-    """Post-trade state for an exact-input trade, one curve solve on the family record; pure."""
-    rec = curves._FAMILIES[spec.family]
-    x_bounds, y_left, y_right, fold = spec._branch
-    effective = (1.0 - req.fee) * req.amount_in
-    if req.token_in == TOKEN_X:
-        x_new = state.x + effective
-        curves._within(spec, x_new, x_bounds, "x", trade=True)
-        y_new = rec.y(spec, x_new, "lower")
-        return PoolState(x_new, y_new, rec.theta(spec, x_new, y_new) if rec.theta else None)
-    y_new = state.y + effective
-    # The side of the zero-price fold; a state exactly at the fold counts as
-    # 'left' (positive prices), so a y-input trade from it moves that way.
-    if fold is None or state.x <= fold:
-        side, y_bounds = "left", y_left
-    else:
-        side, y_bounds = "right", y_right
-    curves._within(spec, y_new, y_bounds, "y", trade=True)
-    x_new = curves.x_from_y_on_side(spec, y_new, side)
-    curves._within(spec, x_new, x_bounds, "x")  # cpmm's x overflows where y nears 0
-    # y stays the exact requested reserve; ccmm's angle reads the y solved from x.
-    return PoolState(x_new, y_new,
-                     rec.theta(spec, x_new, rec.y(spec, x_new, "lower")) if rec.theta else None)
-
-
 def quote_exact_in(spec: CurveSpec, state: PoolState, req: SwapRequest) -> SwapResult:
     """Quote an exact-input swap without executing it."""
     _validate_request(req)
     price_before = curves.price_of(spec, state)
-    new_state = _traverse(spec, state, req)
-    price_after, residual = curves._check(spec, new_state)
-    object.__setattr__(new_state, "_checked", (spec, price_after))  # not yet seen by any caller
-    if req.token_in == TOKEN_X:
-        amount_out = state.y - new_state.y
-    else:
-        amount_out = state.x - new_state.x
+    token_x = req.token_in == TOKEN_X
+    new_state, price_after, residual = curves._trade(
+        spec, state, token_x, (1.0 - req.fee) * req.amount_in)
+    amount_out = state.y - new_state.y if token_x else state.x - new_state.x
     return SwapResult(amount_out, price_before, price_after, residual, new_state)
 
 

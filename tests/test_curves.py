@@ -641,3 +641,15 @@ def test_beta_two_branch_ends_quote_infinity_by_convention(alpha):
     assert price_of(spec, state_from_x(spec, 2.0 * alpha)) == -math.inf
     near = price_of(spec, state_from_x(spec, 1e-12))
     assert near == pytest.approx(c, rel=1e-12) and near <= c
+
+
+def test_state_from_x_range_checks_the_x_it_was_given():
+    # The range check reads x as passed and only then float(x): a str is refused by
+    # the comparison, and an int off the branch is named as the int it was.
+    spec = CurveSpec.ccmm(1.0)
+    with pytest.raises(TypeError):
+        state_from_x(spec, "0.5")
+    with pytest.raises(DomainError, match=r"ccmm x must lie in \[0, 2.0\], got x=1152921504606846976$"):
+        state_from_x(spec, 2**60)
+    state = state_from_x(spec, 1)
+    assert state == state_from_x(spec, 1.0) and type(state.x) is float

@@ -95,6 +95,10 @@ FILES = {
     "bom.csv": "\ufeffdate,price\r\n2020-01-01,5.0\r\n2020-01-02,-2.5\r\n2021-06-01,12.0\r\n",
     "m2.params": "family = parabola\nm = 2.0\n",
     "minf.params": "family = parabola\nm = inf\n",
+    # files no tool of the package wrote: bytes (written as given) and a field over csv's limit
+    "not_utf8.csv": b"\xff",
+    "long_field.csv": "date,price\n2020-01-01," + "1" * 131_073 + "\n",
+    "not_utf8.params": b"\xff",
 }
 
 
@@ -300,8 +304,7 @@ def cli_calls():
             for name in names:
                 for val in FLAG_VALUES:
                     calls.append([cmd, "--family", fam, *_family_flags(fam, **{name: val}), *rest])
-        calls.append([cmd, "--params", "m2.params", *rest])
-        calls.append([cmd, "--params", "minf.params", *rest])
+        calls += [[cmd, "--params", path, *rest] for path in FILES if path.endswith(".params")]
     for fam in FAMILY_PARAMS:
         flags = ["--family", fam, *_family_flags(fam)]
         for lo, hi in (("0", "1"), ("-1", "0"), ("5e-324", "1e-300"), ("1", "1e300"),
@@ -433,8 +436,8 @@ def run_cli(cli, argv):
 
 def write_files(directory: str) -> None:
     for name, text in FILES.items():
-        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(os.path.join(directory, name), "wb") as fh:  # each byte as given
+            fh.write(text if isinstance(text, bytes) else text.encode("utf-8"))
 
 
 def emit(src: str, path: str) -> None:
