@@ -1,6 +1,12 @@
 """The frozen base of the value classes: what ``@dataclass(frozen=True)`` writes, from the
 class's annotations and defaults, without importing ``dataclasses`` until the dataclass
-protocol (``fields``, ``replace``, ``asdict``, ``is_dataclass``) is first used."""
+protocol (``fields``, ``replace``, ``asdict``, ``is_dataclass``) is first used.
+
+The one place a value object's fields are stored: each class's ``__init__``, written here,
+stores the field dict whole as the object's ``__dict__``, past the frozen ``__setattr__``.
+On CPython 3.11 those fields read more than twice as fast as from a ``__dict__`` filled in
+place, and build faster than through per-field ``object.__setattr__``.  Copies and pickles
+rebuild from the fields, so slots that are not fields (``_branch``, ``_checked``) never copy."""
 
 from operator import attrgetter
 
@@ -33,6 +39,23 @@ class _Protocol:
         return getattr(cls, self.name)
 
 
+def _init(cls, names):
+    """``cls.__init__``, written with ``exec`` as ``dataclasses`` writes it: the fields with the
+    class's defaults (a ``Factory`` one made afresh), one store of the field dict through the
+    class's own ``__dict__`` descriptor, then ``self.__post_init__()`` where the class has one."""
+    defaults = cls._defaults
+    ns = {"_store": vars(cls)["__dict__"].__set__, **{f"_d_{n}": d for n, d in defaults.items()}}
+    params = ", ".join(f"{n}=_d_{n}" if n in defaults else n for n in names)
+    make = "".join(f"    if {n} is _d_{n}: {n} = _d_{n}.make()\n"
+                   for n, d in defaults.items() if isinstance(d, Factory))
+    fields = ", ".join(f"{n!r}: {n}" for n in names)
+    post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+    exec(f"def __init__(self, {params}):\n{make}    _store(self, {{{fields}}})\n{post}", ns)
+    init = ns["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"  # a wrong call's TypeError names cls
+    return init
+
+
 class Value:
     __slots__ = ()
     __dataclass_fields__ = _Protocol()
@@ -42,19 +65,10 @@ class Value:
         names = cls.__match_args__ = tuple(vars(cls).get("__annotations__", ()))
         cls._fields = attrgetter(*names)  # every value class has two fields or more: a tuple
         cls._defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+        cls.__init__ = _init(cls, names)
 
-    # Set through object.__setattr__: CPython 3.11 reads attributes faster from an instance
-    # dict built that way (its keys shared with the class) than from one filled via __dict__.
-    def __init__(self, *args, **kwargs):
-        names = self.__match_args__
-        given = dict(zip(names, args))
-        values = {**self._defaults, **given, **kwargs}
-        if len(args) > len(names) or given.keys() & kwargs or values.keys() != set(names):
-            raise TypeError(f"{type(self).__name__}() takes the fields {names}, "
-                            f"got {args} and {kwargs}")
-        for name in names:
-            value = values[name]
-            object.__setattr__(self, name, value.make() if isinstance(value, Factory) else value)
+    def __reduce__(self):  # copies and pickles: the fields only, rebuilt through __init__
+        return type(self), self._fields(self)
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)

@@ -73,7 +73,7 @@ class CurveSpec(Value):
 
     A built spec also holds its derived constants, ``_consts``, and in the slot
     ``_branch`` (not in ``vars``) the branch its record states: (x bounds,
-    left-side y bounds, right-side y bounds, fold).
+    left-side y bounds, right-side y bounds, fold), both made on every build and copy.
     """
 
     __slots__ = ("__dict__", "__weakref__", "_branch")
@@ -84,18 +84,7 @@ class CurveSpec(Value):
     m: int | None = None
     L: float | None = None
 
-    def __init__(self, family: Family, k: float | None = None, alpha: float | None = None,
-                 beta: float | None = None, m: int | None = None, L: float | None = None):
-        set_field = object.__setattr__  # as Value's __init__: trades read these fields
-        set_field(self, "family", family)
-        set_field(self, "k", k)
-        set_field(self, "alpha", alpha)
-        set_field(self, "beta", beta)
-        set_field(self, "m", m)
-        set_field(self, "L", L)
-        self.__post_init__()
-
-    def __post_init__(self):  # every build, replace included, reads and checks the fields here
+    def __post_init__(self):  # every build, replace and copy included, reads and checks here
         if not isinstance(self.family, Family):
             object.__setattr__(self, "family", Family(self.family))
         rec = _FAMILIES[self.family]
@@ -107,9 +96,6 @@ class CurveSpec(Value):
         rec.check(self)
         object.__setattr__(self, "_consts", rec.derive(self))  # not a field
         object.__setattr__(self, "_branch", rec.branch(self))
-
-    def __reduce__(self):  # copies and pickles: the fields only, rebuilt and checked again
-        return type(self), (self.family, self.k, self.alpha, self.beta, self.m, self.L)
 
     @classmethod
     def ccmm(cls, k: float) -> "CurveSpec":
@@ -135,24 +121,13 @@ class PoolState(Value):
     x = k*(1+cos(theta)), y = k*(1+sin(theta)), price p = cot(theta).
 
     Slot ``_checked`` (not a field): a traded state's price, written by _trade, read by price_of.
+    Copies and pickles rebuild a state from its fields, so they never carry it.
     """
 
     __slots__ = ("__dict__", "__weakref__", "_checked")
     x: float
     y: float
     theta: float | None = None
-
-    # Fields go straight into the instance's own __dict__, past the frozen __setattr__:
-    # the cheapest build (as for the other per-call results: GreeksPoint, SwapResult and
-    # FingerprintSample).  Classes read more than built set theirs through object.__setattr__.
-    def __init__(self, x: float, y: float, theta: float | None = None):
-        d = self.__dict__
-        d["x"] = x
-        d["y"] = y
-        d["theta"] = theta
-
-    def __reduce__(self):  # copies and pickles: the fields only, never _checked
-        return type(self), (self.x, self.y, self.theta)
 
 
 def csemm_exponent(c: float) -> float:

@@ -49,12 +49,6 @@ class FingerprintSample(Value):
     density: float
     domain_sign: str = POSITIVE
 
-    def __init__(self, coord: float, density: float, domain_sign: str = POSITIVE):
-        d = self.__dict__  # filled in place, as PoolState's
-        d["coord"] = coord
-        d["density"] = density
-        d["domain_sign"] = domain_sign
-
 
 def _domain_sign(domain: str) -> float:
     if domain == POSITIVE:

@@ -33,14 +33,6 @@ class GreeksPoint(Value):
     gamma: float
     theta: float
 
-    def __init__(self, p: float, value: float, delta: float, gamma: float, theta: float):
-        d = self.__dict__  # filled in place, as PoolState's
-        d["p"] = p
-        d["value"] = value
-        d["delta"] = delta
-        d["gamma"] = gamma
-        d["theta"] = theta
-
 
 def lp_value(spec: CurveSpec, p: float) -> float:
     """Pool value V(p) = p*x(p) + y(p) in token-Y units."""

@@ -35,12 +35,6 @@ class SwapRequest(Value):
     amount_in: float
     fee: float = 0.0
 
-    def __init__(self, token_in: str, amount_in: float, fee: float = 0.0):
-        set_field = object.__setattr__  # as Value's __init__: a trade reads these fields
-        set_field(self, "token_in", token_in)
-        set_field(self, "amount_in", amount_in)
-        set_field(self, "fee", fee)
-
 
 class SwapResult(Value):
     """Outcome of one exact-input trade; ``new_state`` is where it leaves the pool."""
@@ -50,15 +44,6 @@ class SwapResult(Value):
     price_after: float
     residual_after: float
     new_state: PoolState
-
-    def __init__(self, amount_out: float, price_before: float, price_after: float,
-                 residual_after: float, new_state: PoolState):
-        d = self.__dict__  # filled in place, as PoolState's
-        d["amount_out"] = amount_out
-        d["price_before"] = price_before
-        d["price_after"] = price_after
-        d["residual_after"] = residual_after
-        d["new_state"] = new_state
 
 
 def _validate_request(req: SwapRequest) -> None:

@@ -655,3 +655,12 @@ def test_cli_import_does_not_load_typing():
              "assert 'typing' not in sys.modules")
     subprocess.run([sys.executable, "-S", "-c", probe], check=True,
                    cwd=Path(__file__).resolve().parent.parent)
+
+
+def test_a_grid_whose_step_underflows_stays_finite_and_ordered():
+    from negamm.cli import _parse_grid
+
+    points = _parse_grid("0:1e-321:1000")  # step = 1e-321 / 999 rounds to 0.0
+    assert len(points) == 1000 and points[0] == 0.0 and points[-1] == 1e-321
+    assert all(math.isfinite(p) for p in points)
+    assert points == sorted(points) and points[500] > 0.0

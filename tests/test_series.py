@@ -235,3 +235,22 @@ def test_hill_accepts_what_float_accepts():
 def test_negative_price_stats_refuses_an_empty_series():
     with pytest.raises(SeriesError):
         negative_price_stats(PriceSeries((), ()))
+
+
+def test_a_zero_price_day_is_not_a_negative_print():
+    days = (datetime.date(2020, 4, 19), datetime.date(2020, 4, 20), datetime.date(2020, 4, 21))
+    stats = negative_price_stats(PriceSeries(days, (0.0, -0.0, 2.5)))
+    assert stats[2020].negative_days == 0 and stats[2020].min_price == 0.0
+
+
+def test_hill_accepts_top_k_of_half_the_sample():
+    vals = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    expected = 3.0 / math.fsum(math.log(v / 5.0) for v in (8.0, 7.0, 6.0))
+    assert hill_tail_index(vals, top_k=4) == pytest.approx(expected, rel=1e-15)
+
+
+def test_percent_returns_keep_a_base_of_exactly_eps():
+    days = (datetime.date(2024, 1, 1), datetime.date(2024, 1, 2), datetime.date(2024, 1, 3))
+    ret = returns(PriceSeries(days, (1e-9, 3e-9, -1e-9)), mode=PERCENT, eps=1e-9)
+    assert ret.skipped == 0 and ret.dates == days[1:]
+    assert ret.values == ((3e-9 - 1e-9) / 1e-9, (-1e-9 - 3e-9) / 3e-9)

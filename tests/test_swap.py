@@ -550,3 +550,16 @@ def test_parabola_state_with_unbounded_y_is_refused():
         price_of(spec, PoolState(x, y * (1.0 + 2e-9)))
     assert residual_scale(spec) == 1.0
 
+
+
+def test_fee_comes_off_the_input_reserve_exactly():
+    # The pool's input reserve moves by (1 - fee) * amount, bit for bit, on every family
+    # (x in) and on the exact requested y (y in).  A trade that crosses the ccmm fold
+    # cannot tell a fee added from one taken off: the circle's mirror reserves pay the same.
+    for spec in (CurveSpec.ccmm(1.0), CurveSpec.csemm(3.0, 4.0), CurveSpec.cpmm(1.0),
+                 CurveSpec.parabola(2)):
+        state = state_from_x(spec, 0.5)
+        for token, amount in ((TOKEN_X, 0.1), (TOKEN_Y, 0.05)):
+            new, _ = execute_swap(spec, state, SwapRequest(token, amount, fee=0.003))
+            moved = (new.x, state.x) if token == TOKEN_X else (new.y, state.y)
+            assert moved[0] == moved[1] + (1.0 - 0.003) * amount

@@ -168,3 +168,35 @@ def test_values_build_without_dataclasses_until_the_protocol_is_read():
     assert proc.returncode == 0, proc.stderr
     fields = ["family", "k", "alpha", "beta", "m", "L"]
     assert ast.literal_eval(proc.stdout) == (True, False, True, True, fields)
+
+
+def test_no_value_class_writes_its_own_constructor_or_reduce():
+    # Value writes every class's __init__ and __reduce__: one store of the fields, in _value.py
+    for path in sorted((ROOT / "src" / "negamm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, ast.Name) and base.id == "Value" for base in node.bases):
+                own = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+                assert not own & {"__init__", "__reduce__"}, (path.name, node.name)
+
+
+@pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
+def test_a_wrong_call_raises_a_type_error_that_names_the_class(cls):
+    obj, pinned, _, _ = CASES[cls]
+    values = tuple(getattr(obj, name) for name in pinned)
+    required = list(pinned.values()).count(REQUIRED)
+    assert cls(*values) == obj and cls(**dict(zip(pinned, values))) == obj
+    for args, kwargs in [(values[:required - 1], {}), ((*values, None), {}),
+                         (values, {"extra": None})]:
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) "):
+            cls(*args, **kwargs)
+
+
+def test_a_factory_default_is_made_afresh_for_each_object():
+    record = _FAMILIES[Family.CPMM]
+    given = {name: getattr(record, name) for name, default in CASES[_Record][1].items()
+             if default == REQUIRED}
+    first, second = _Record(**given), _Record(**given)
+    assert first.defaults == second.defaults == {}
+    assert first.defaults is not second.defaults
+    assert _Record(**given, defaults=record.defaults).defaults is record.defaults

@@ -9,11 +9,12 @@
 One process loads ``negamm`` from the parent tree's ``src`` and then from
 this tree's, each under its own module objects, so the two copies run side by
 side under the same interpreter, allocator and machine load.  Each primitive
-(spec builds, trades from a traded state, a quote, a full state check, price
-inversions and greeks) is timed with ``timeit`` on one copy and then the
-other, alternating which goes first, ``k`` times each; the min of each side
-is printed in microseconds with the change/parent ratio.  A repeat runs about
-5 ms of calls, the same number on both sides, set from the parent's first run.
+(spec builds, value-object builds and one field read of a traded state, trades
+from a traded state, a quote, a full state check, price inversions and greeks)
+is timed with ``timeit`` on one copy and then the other, alternating which goes
+first, ``k`` times each; the min of each side is printed in microseconds with
+the change/parent ratio.  A repeat runs about 5 ms of calls, the same number on
+both sides, set from the parent's first run.
 
 ``--cli`` times whole processes instead: ``python -m negamm.cli`` runs of the
 benchmark's fixed invocations (``FIXED_INVOCATIONS`` in ``bench/workloads.py``)
@@ -70,8 +71,8 @@ def load(tree: str):
     return pkg
 
 
-FUNCTIONS = ("CurveSpec", "execute_swap", "quote_exact_in", "price_of", "state_from_price",
-             "greeks")
+FUNCTIONS = ("CurveSpec", "PoolState", "SwapResult", "YearStats", "execute_swap",
+             "quote_exact_in", "price_of", "state_from_price", "greeks")
 
 
 def namespace(n, build) -> dict:
@@ -98,7 +99,11 @@ PARABOLA = ("parabola m=2", lambda C: C.parabola(2))
 PRIMITIVES = (
     [("CurveSpec.ccmm(1.0)", "CurveSpec.ccmm(1.0)", CCMM),
      ("CurveSpec.csemm(3.0, 4.0)", "CurveSpec.csemm(3.0, 4.0)", CCMM),
-     ("CurveSpec('ccmm', k=1.0)", "CurveSpec('ccmm', k=1.0)", CCMM)]
+     ("CurveSpec('ccmm', k=1.0)", "CurveSpec('ccmm', k=1.0)", CCMM),
+     ("PoolState(0.5, 0.25)", "PoolState(0.5, 0.25)", CCMM),
+     ("SwapResult(...)", "SwapResult(0.1, 1.0, 0.9, 0.0, traded)", CCMM),
+     ("YearStats(3, -1.0)", "YearStats(3, -1.0)", CCMM),
+     ("traded.x, one field read", "traded.x", CCMM)]
     + [(f"execute_swap {family[0]} {token} in", f"execute_swap(spec, traded, req_{token})", family)
        for family in (CCMM, CSEMM34, CPMM, PARABOLA) for token in "xy"]
     + [("quote_exact_in ccmm k=1 x in", "quote_exact_in(spec, traded, req_x)", CCMM),
