@@ -4,8 +4,8 @@ Subcommands mirror the library surface: ``curve`` samples an invariant,
 ``swap`` runs one exact-input trade, ``fingerprint`` emits liquidity
 densities, ``payoff`` tabulates LP value and greeks, ``analyze`` digests a
 price-history CSV and ``compare`` lines several fingerprints up on one
-grid.  Output is CSV (default) or JSON, written to stdout or
-``--output-path``; runs are deterministic, so identical invocations
+grid; one table, ``_COMMANDS``, states each one's flags.  Output is CSV
+(default) or JSON, to stdout or ``--output-path``; identical invocations
 produce identical bytes.
 
 Exit codes: 0 success, 1 domain/convergence/data errors, 2 usage errors.
@@ -255,29 +255,43 @@ def _expand_params(argv: list[str], parser: argparse.ArgumentParser) -> list[str
     return expanded
 
 
-def _add_common(sub, command, needs_family: bool, needs_grid: bool) -> None:
-    """Route ``sub`` to ``command`` and add the flags every subcommand takes.
-
-    swap and analyze accept --grid unparsed, so one --params file can serve
-    every command.
-    """
-    sub.set_defaults(run=command)
-    sub.add_argument("--family", choices=_FAMILY_NAMES, required=needs_family)
-    for rec in curves._FAMILIES.values():
-        for name, (kind, text) in rec.params.items():
-            sub.add_argument(f"--{name}", type=kind, help=text, default=rec.defaults.get(name))
-    sub.add_argument(
-        "--grid",
-        type=_parse_grid if needs_grid else str,
-        required=needs_grid,
-        help="sample grid, min:max:steps (inclusive)",
-    )
-    sub.add_argument("--output", choices=("csv", "json"), default="csv")
-    sub.add_argument("--output-path", help="write here instead of stdout")
-    sub.add_argument(
-        "--params", metavar="FILE", help="key = value file of extra flags"
-    )
-
+# Each subcommand: its help, its command, whether --family is required, whether
+# --grid is parsed and required (swap and analyze take it unparsed, so one
+# --params file can serve every command), and its own flags.
+_COMMANDS = {
+    "curve": ("sample (x, y) points of an invariant", _cmd_curve, True, True, {
+        "--branch": dict(choices=("lower", "upper"), default="lower"),
+    }),
+    "swap": ("execute one exact-input swap", _cmd_swap, True, False, {
+        "--x": dict(type=float, required=True, help="current x reserve"),
+        "--y": dict(type=float, help="current y reserve (else derived)"),
+        "--token-in": dict(choices=("x", "y"), required=True),
+        "--amount-in": dict(type=float, required=True),
+        "--fee": dict(type=float, default=0.0),
+    }),
+    "fingerprint": ("liquidity density samples", _cmd_fingerprint, True, True, {
+        "--space": dict(choices=("sqrtprice", "tick", "circle"), default="sqrtprice"),
+        "--domain": dict(choices=("positive", "negative", "both"), default="positive"),
+        "--source": dict(choices=("auto", "analytic", "numeric"), default="auto",
+                         help="closed form where available (auto), or force the numeric oracle"),
+    }),
+    "payoff": ("LP value, delta, gamma, theta", _cmd_payoff, True, True, {
+        "--sigma-iv": dict(type=float, default=0.0),
+    }),
+    "analyze": ("price-history statistics", _cmd_analyze, False, False, {
+        "--input": dict(required=True, help="CSV with header date,price"),
+        "--stat": dict(choices=("negative-days", "returns", "squared-returns", "hill"),
+                       default="negative-days"),
+        "--mode": dict(choices=_MODES, default=_MODES[0]),
+        "--eps": dict(type=float, default=1e-9),
+        "--top-k": dict(type=int, default=50),
+    }),
+    "compare": ("aligned fingerprints of several curves", _cmd_compare, False, True, {
+        "--specs": dict(nargs="+", required=True, metavar="SPEC",
+                        help="e.g. ccmm:k=1 csemm:alpha=3,beta=3 gaussian:mu=0,sigma=1.4,mass=2"),
+        "--space": dict(choices=("sqrtprice", "tick"), default="tick"),
+    }),
+}
 
 # Accept leading-minus values like "-6:6:241" or "-1e-3" as arguments
 # rather than flags; argparse's stock matcher only covers plain decimals.
@@ -287,7 +301,7 @@ _NEGATIVE_VALUE = re.compile(r"^-\d|^-\.\d")
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The negamm parser.  Every subcommand is listed, so the top-level usage and
     help never change, but with ``command`` only the subcommand of that name (if
-    any) gets its flags."""
+    any) gets its flags: the shared ones, then its own from ``_COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="negamm",
         description="Invariant curves, swaps and liquidity analytics for "
@@ -295,69 +309,23 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     parser._negative_number_matcher = _NEGATIVE_VALUE
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, text, run, **needs):  # the subparser, if its flags are to be built
-        sub = subs.add_parser(name, help=text)
+    for name, (summary, run, family, grid, flags) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=summary)
         sub._negative_number_matcher = _NEGATIVE_VALUE
-        if command is None or command == name:
-            _add_common(sub, run, **needs)
-            return sub
-        return None
-
-    if p_curve := add("curve", "sample (x, y) points of an invariant", _cmd_curve,
-                      needs_family=True, needs_grid=True):
-        p_curve.add_argument("--branch", choices=("lower", "upper"), default="lower")
-
-    if p_swap := add("swap", "execute one exact-input swap", _cmd_swap,
-                     needs_family=True, needs_grid=False):
-        p_swap.add_argument("--x", type=float, required=True, help="current x reserve")
-        p_swap.add_argument("--y", type=float, help="current y reserve (else derived)")
-        p_swap.add_argument("--token-in", choices=("x", "y"), required=True)
-        p_swap.add_argument("--amount-in", type=float, required=True)
-        p_swap.add_argument("--fee", type=float, default=0.0)
-
-    if p_fp := add("fingerprint", "liquidity density samples", _cmd_fingerprint,
-                   needs_family=True, needs_grid=True):
-        p_fp.add_argument(
-            "--space", choices=("sqrtprice", "tick", "circle"), default="sqrtprice"
-        )
-        p_fp.add_argument(
-            "--domain", choices=("positive", "negative", "both"), default="positive"
-        )
-        p_fp.add_argument(
-            "--source",
-            choices=("auto", "analytic", "numeric"),
-            default="auto",
-            help="closed form where available (auto), or force the numeric oracle",
-        )
-
-    if p_pay := add("payoff", "LP value, delta, gamma, theta", _cmd_payoff,
-                    needs_family=True, needs_grid=True):
-        p_pay.add_argument("--sigma-iv", type=float, default=0.0)
-
-    if p_an := add("analyze", "price-history statistics", _cmd_analyze,
-                   needs_family=False, needs_grid=False):
-        p_an.add_argument("--input", required=True, help="CSV with header date,price")
-        p_an.add_argument(
-            "--stat",
-            choices=("negative-days", "returns", "squared-returns", "hill"),
-            default="negative-days",
-        )
-        p_an.add_argument("--mode", choices=_MODES, default=_MODES[0])
-        p_an.add_argument("--eps", type=float, default=1e-9)
-        p_an.add_argument("--top-k", type=int, default=50)
-
-    if p_cmp := add("compare", "aligned fingerprints of several curves", _cmd_compare,
-                    needs_family=False, needs_grid=True):
-        p_cmp.add_argument(
-            "--specs",
-            nargs="+",
-            required=True,
-            metavar="SPEC",
-            help="e.g. ccmm:k=1 csemm:alpha=3,beta=3 gaussian:mu=0,sigma=1.4,mass=2",
-        )
-        p_cmp.add_argument("--space", choices=("sqrtprice", "tick"), default="tick")
-
+        if command not in (None, name):
+            continue
+        sub.set_defaults(run=run)
+        sub.add_argument("--family", choices=_FAMILY_NAMES, required=family)
+        for rec in curves._FAMILIES.values():
+            for param, (kind, text) in rec.params.items():
+                sub.add_argument(f"--{param}", type=kind, help=text, default=rec.defaults.get(param))
+        sub.add_argument("--grid", type=_parse_grid if grid else str, required=grid,
+                         help="sample grid, min:max:steps (inclusive)")
+        sub.add_argument("--output", choices=("csv", "json"), default="csv")
+        sub.add_argument("--output-path", help="write here instead of stdout")
+        sub.add_argument("--params", metavar="FILE", help="key = value file of extra flags")
+        for flag, kwargs in flags.items():
+            sub.add_argument(flag, **kwargs)
     return parser
 
 

@@ -99,6 +99,8 @@ def load_series(path) -> PriceSeries:
                 f"{path}: row {i}: bad date {raw_date!r} ({exc})"
             ) from None
         try:
+            if not raw_price.isascii() or "_" in raw_price:  # float() reads 1_000 and "４" too
+                raise ValueError
             price = float(raw_price)
         except ValueError:
             raise SeriesParseError(

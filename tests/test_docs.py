@@ -67,3 +67,23 @@ def test_a_comment_shows_a_literal_up_to_its_prose():
                   "# -(sigma^2/2) * gamma > 0",
                   "# {2022: (0 days, min 48.75), 2023: (2, -5.25)}"):
         assert shown_value(prose) is None
+
+
+def test_readme_subcommand_table_matches_the_parser():
+    """README's CLI table: each subcommand, what it emits (its help) and its required flags."""
+    from negamm import cli
+
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    table = re.search(r"^```text\n(.*?)^```", section, re.MULTILINE | re.DOTALL).group(1)
+    header, *rows = table.splitlines()
+    assert re.split(r"\s{2,}", header) == ["subcommand", "what it emits", "required flags"]
+    subs = cli._build_parser()._subparsers._group_actions[0]
+    helps = {action.dest: action.help for action in subs._choices_actions}
+    shown = {}
+    for row in rows:
+        command, emits, required = re.split(r"\s{2,}", row)
+        shown[command.removeprefix("negamm ")] = (emits, set(required.split(", ")))
+    assert set(shown) == set(subs.choices)
+    for name, sub in subs.choices.items():
+        flags = {action.option_strings[0] for action in sub._actions if action.required}
+        assert shown[name] == (helps[name], flags), name

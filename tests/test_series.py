@@ -134,6 +134,16 @@ def test_bad_price_names_row(tmp_path):
         load_series(p)
 
 
+@pytest.mark.parametrize("cell", ["1_000", "４", "-３.5", "abc"])
+def test_a_price_cell_is_ascii_without_underscores(tmp_path, cell):
+    """float() would read 1_000 and the full-width digit as numbers; the reader refuses them."""
+    p = _write(tmp_path, f"date,price\n2024-01-01, -3 \n2024-01-02, {cell} \n")
+    with pytest.raises(SeriesParseError) as exc:
+        load_series(p)
+    assert str(exc.value) == f"{p}: row 3: bad price {cell!r}"
+    assert load_series(_write(tmp_path, "date,price\n2024-01-01, -3 \n")).prices == (-3.0,)
+
+
 def test_nonfinite_price_rejected(tmp_path):
     p = _write(tmp_path, "date,price\n2024-01-01,inf\n")
     with pytest.raises(SeriesParseError, match="finite"):

@@ -4,6 +4,7 @@
     python tools/sweep.py                    # outcome counts on this tree
     python tools/sweep.py --against PARENT   # differences, PARENT -> this tree
     python tools/sweep.py --against PARENT --show 3   # ... with 3 examples each
+    python tools/sweep.py --record FILE      # one digest per group, as JSON
 
 The corpus is deterministic, uses the standard library only and is always
 this file's.  Library calls cover every callable in ``negamm.__all__`` (and
@@ -16,12 +17,15 @@ trades whose solved x overflows); each records the ``float.hex`` of every
 float it returns, or its exception's class and text.
 CLI invocations run every subcommand x family x edge flag value through
 ``negamm.cli.run`` and record the exit code and the sha256 of stdout and of
-stderr.
+stderr; the top-level and each subcommand's ``--help`` are among them, so the
+help text (at ``COLUMNS=80``) is part of the corpus.
 
 Each tree runs in its own subprocess, with its ``src`` first on sys.path, in
 a scratch directory holding the corpus's input files.  ``--against`` prints
 the count of differences grouped by function and by outcome class, and exits
-1 if there are any.
+1 if there are any.  ``--record`` writes one sha256 per group of records, a
+group being one function name x curve family or one CLI subcommand, with the
+group's record count, in corpus order (``tests/data/sweep_digests.json``).
 """
 
 from __future__ import annotations
@@ -350,6 +354,8 @@ def cli_calls():
     for top_k in ("0", "-1", "3", "100", "2.5"):
         calls.append(["analyze", "--input", "good.csv", "--stat", "hill", "--top-k", top_k])
     calls.append(["curve", "--family", "ccmm", "--k", "1", "--grid", "0:1:3", "--output", "json"])
+    calls += [["--help"], *([cmd, "--help"] for cmd in
+                            ("curve", "swap", "fingerprint", "payoff", "analyze", "compare"))]
     return list({" ".join(argv): argv for argv in calls}.values())
 
 
@@ -440,6 +446,19 @@ def write_files(directory: str) -> None:
             fh.write(text if isinstance(text, bytes) else text.encode("utf-8"))
 
 
+def _family(args: tuple) -> str:
+    """The curve family a library call's arguments name first (a Spec marker, or a
+    family's name), or ''."""
+    for arg in args:
+        if isinstance(arg, Spec):
+            return arg.family
+        if isinstance(arg, str) and arg in FAMILY_PARAMS:
+            return arg
+        if isinstance(arg, tuple) and (fam := _family(arg)):
+            return fam
+    return ""
+
+
 def emit(src: str, path: str) -> None:
     """Run the corpus on the negamm under ``src`` and write one JSON record per call."""
     sys.path.insert(0, src)
@@ -457,12 +476,14 @@ def emit(src: str, path: str) -> None:
                     outcome, cls = encode(result), "value"
                 else:
                     outcome, cls = f"{type(exc).__name__}: {exc}", type(exc).__name__
-                records.append([name, f"{name}{args!r}", cls, outcome])
+                group = f"{name} {fam}" if (fam := _family(args)) else name
+                records.append([name, f"{name}{args!r}", cls, outcome, group])
             for argv in cli_calls():
                 code, out, err = run_cli(cli, argv)
                 digest = [hashlib.sha256(text.encode()).hexdigest()[:16] for text in (out, err)]
                 records.append([f"cli {argv[0]}", " ".join(argv), f"exit {code}",
-                                f"exit {code} stdout {digest[0]} stderr {digest[1]}"])
+                                f"exit {code} stdout {digest[0]} stderr {digest[1]}",
+                                f"cli {argv[0]}"])
         finally:
             os.chdir(here)
     with open(path, "w", encoding="utf-8") as fh:
@@ -481,6 +502,23 @@ def collect(tree: str) -> list:
             return json.load(fh)
 
 
+def digests(records) -> dict:
+    """{group: [record count, sha256 of its calls and outcomes]}, in corpus order."""
+    hashes: dict = {}
+    for name, key, cls, outcome, group in records:
+        entry = hashes.setdefault(group, [0, hashlib.sha256()])
+        entry[0] += 1
+        entry[1].update(json.dumps([key, cls, outcome]).encode() + b"\n")
+    return {group: [count, h.hexdigest()] for group, (count, h) in hashes.items()}
+
+
+def write_digests(groups: dict, path: str) -> None:
+    """``groups`` as JSON with one group a line, so a diff names the groups that moved."""
+    lines = [f"{json.dumps(group)}: {json.dumps(entry)}" for group, entry in groups.items()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+
+
 def _change_class(old, new) -> str:
     if old[2] != new[2]:
         return f"{old[2]} -> {new[2]}"
@@ -496,6 +534,8 @@ def main(argv=None) -> int:
     parser.add_argument("--against", metavar="PATH", help="tree to compare this one with")
     parser.add_argument("--show", type=int, default=0, metavar="N",
                         help="print up to N differing calls per group")
+    parser.add_argument("--record", metavar="FILE",
+                        help="write this tree's group digests to FILE")
     parser.add_argument("--emit", metavar="FILE", help=argparse.SUPPRESS)
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -503,6 +543,9 @@ def main(argv=None) -> int:
         emit(args.src, args.emit)
         return 0
     mine = collect(ROOT)
+    if args.record:
+        write_digests(digests(mine), args.record)
+        return 0
     n_cli = sum(rec[0].startswith("cli ") for rec in mine)
     print(f"sweep: {len(mine) - n_cli} library calls, {n_cli} CLI invocations")
     if not args.against:
