@@ -12,7 +12,9 @@ Sign conventions:
 
 Trades that would step off the trading branch are rejected with
 DomainExceeded rather than clamped, so the pool never quotes beyond its
-price asymptotes.  All functions are pure; no state is mutated once returned.
+price asymptotes.  No state is mutated once returned.  The one thing kept is
+the last quote: ``execute_swap`` of the same spec, state and request objects
+returns it instead of solving again, and every execute clears it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .errors import InvalidFee, ParameterError
 
 TOKEN_X = "x"
 TOKEN_Y = "y"
+
+_pending = None  # (spec, state, req, result) of the last quote, until an execute
 
 
 class SwapRequest(Value):
@@ -57,13 +61,16 @@ def _validate_request(req: SwapRequest) -> None:
 
 def quote_exact_in(spec: CurveSpec, state: PoolState, req: SwapRequest) -> SwapResult:
     """Quote an exact-input swap without executing it."""
+    global _pending
     _validate_request(req)
     price_before = curves.price_of(spec, state)
     token_x = req.token_in == TOKEN_X
     new_state, price_after, residual = curves._trade(
         spec, state, token_x, (1.0 - req.fee) * req.amount_in)
     amount_out = state.y - new_state.y if token_x else state.x - new_state.x
-    return SwapResult(amount_out, price_before, price_after, residual, new_state)
+    result = SwapResult(amount_out, price_before, price_after, residual, new_state)
+    _pending = (spec, state, req, result)
+    return result
 
 
 def execute_swap(
@@ -71,9 +78,17 @@ def execute_swap(
 ) -> tuple[PoolState, SwapResult]:
     """Quote and apply an exact-input swap, returning (new_state, result).
 
-    The quote's own traversal is the trade: the curve is solved once.
+    The quote's own traversal is the trade: the curve is solved once, or not at
+    all right after a quote of the same ``spec``, ``state`` and ``req`` objects
+    (``is``, not ``==``): that quote's result is returned.  No quote stays pending.
     """
-    result = quote_exact_in(spec, state, req)
+    global _pending
+    pending = _pending
+    if pending is not None and pending[0] is spec and pending[1] is state and pending[2] is req:
+        result = pending[3]
+    else:
+        result = quote_exact_in(spec, state, req)
+    _pending = None
     return result.new_state, result
 
 

@@ -664,3 +664,12 @@ def test_a_grid_whose_step_underflows_stays_finite_and_ordered():
     assert len(points) == 1000 and points[0] == 0.0 and points[-1] == 1e-321
     assert all(math.isfinite(p) for p in points)
     assert points == sorted(points) and points[500] > 0.0
+
+
+def test_a_grid_whose_step_underflows_spaces_its_points_as_documented():
+    from negamm.cli import _parse_grid
+
+    # lo + (i / (steps - 1)) * (hi - lo) for the inner points, then hi itself
+    lo, hi, steps = -1e-321, 1e-321, 1000
+    points = _parse_grid(f"{lo!r}:{hi!r}:{steps}")
+    assert points == [lo + i / (steps - 1) * (hi - lo) for i in range(steps - 1)] + [hi]

@@ -264,3 +264,10 @@ def test_percent_returns_keep_a_base_of_exactly_eps():
     ret = returns(PriceSeries(days, (1e-9, 3e-9, -1e-9)), mode=PERCENT, eps=1e-9)
     assert ret.skipped == 0 and ret.dates == days[1:]
     assert ret.values == ((3e-9 - 1e-9) / 1e-9, (-1e-9 - 3e-9) / 3e-9)
+
+
+def test_two_prices_give_one_return():
+    days = (datetime.date(2024, 1, 1), datetime.date(2024, 1, 2))
+    series = PriceSeries(days, (2.0, -1.0))
+    assert returns(series, ARITHMETIC_DIFF).values == (-3.0,)
+    assert returns(series, PERCENT).values == (-1.5,)

@@ -10,11 +10,14 @@ One process loads ``negamm`` from the parent tree's ``src`` and then from
 this tree's, each under its own module objects, so the two copies run side by
 side under the same interpreter, allocator and machine load.  Each primitive
 (spec builds, value-object builds and one field read of a traded state, trades
-from a traded state, a quote, a full state check, price inversions and greeks)
-is timed with ``timeit`` on one copy and then the other, alternating which goes
-first, ``k`` times each; the min of each side is printed in microseconds with
-the change/parent ratio.  A repeat runs about 5 ms of calls, the same number on
-both sides, set from the parent's first run.
+from a traded state, a quote, a read and then the execute of the same request,
+a full state check, price inversions and greeks) is timed with ``timeit`` on
+one copy and then the other, alternating which goes first, ``k`` times each;
+the min of each side is printed in microseconds with the change/parent ratio.
+The two read-then-execute rows time the execute that returns its own quote;
+every other ``execute_swap`` row solves in full, because an execute never
+leaves a quote pending for the next one.  A repeat runs about 5 ms of calls,
+the same number on both sides, set from the parent's first run.
 
 ``--cli`` times whole processes instead: ``python -m negamm.cli`` runs of the
 benchmark's fixed invocations (``FIXED_INVOCATIONS`` in ``bench/workloads.py``)
@@ -72,7 +75,7 @@ def load(tree: str):
 
 
 FUNCTIONS = ("CurveSpec", "PoolState", "SwapResult", "YearStats", "execute_swap",
-             "quote_exact_in", "price_of", "state_from_price", "greeks")
+             "quote_exact_in", "price_impact", "price_of", "state_from_price", "greeks")
 
 
 def namespace(n, build) -> dict:
@@ -107,6 +110,10 @@ PRIMITIVES = (
     + [(f"execute_swap {family[0]} {token} in", f"execute_swap(spec, traded, req_{token})", family)
        for family in (CCMM, CSEMM34, CPMM, PARABOLA) for token in "xy"]
     + [("quote_exact_in ccmm k=1 x in", "quote_exact_in(spec, traded, req_x)", CCMM),
+       ("quote, execute ccmm k=1 x in",
+        "quote_exact_in(spec, traded, req_x); execute_swap(spec, traded, req_x)", CCMM),
+       ("price_impact, execute csemm 3,4 y in",
+        "price_impact(spec, traded, req_y); execute_swap(spec, traded, req_y)", CSEMM34),
        ("price_of ccmm k=1, fresh state", "price_of(spec, fresh)", CCMM),
        ("price_of csemm 3,4, fresh state", "price_of(spec, fresh)", CSEMM34)]
     + [(f"{call} {family[0]} p=-0.7", f"{call}(spec, -0.7{args})", family)
