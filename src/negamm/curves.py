@@ -29,8 +29,8 @@ its branch (the record's ``branch``) once, when it is built; trades and
 checks read that resolved branch.  The record's bounds are the only statement
 of each reserve range: reserves, states, branch names and prices are checked
 once (``_within``, ``_check``, ``y_from_x``, ``state_from_price``), and the
-kernels only compute.  A trade is one ``_trade``: it builds its new state (x in
-through ``_at_x``, as ``state_from_x``), checks it and stores its price.
+kernels only compute.  A trade is one ``_trade``, one pass that builds its new
+state, checks its x range and its residual once each and stores its price.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ _RESIDUAL_TOL = 1e-9
 # on-branch state and the tolerance 1e-9 k^2 stay clear of float overflow (near
 # k = 1.3e154) and underflow.
 _SIZE_MIN, _SIZE_MAX = 1e-150, 1e150
-
 
 
 class Family(str, Enum):
@@ -346,41 +345,54 @@ def price_of(spec: CurveSpec, state: PoolState) -> float:
     checked = getattr(state, "_checked", None)
     if checked is not None and checked[0] is spec:
         return checked[1]
-    return _check(spec, state)[0]
+    return _check(spec, state)
 
 
 def _trade(spec: CurveSpec, state: PoolState, token_x: bool, effective: float) -> tuple:
     """(new state, its price, its residual) once ``effective`` of X (``token_x``) or of Y
-    enters the pool: one curve solve on the family record, one full check of the state."""
-    if token_x:
-        new = _at_x(spec, state.x + effective, trade=True)
+    enters the pool, in one pass: one curve solve on the family record, one range check of
+    the new x, one on-curve test, one price.  No upper-branch test: y(x) on the lower
+    branch, or a y inside the branch's y range, never lies above the branch."""
+    rec = _FAMILIES[spec.family]
+    x_bounds, y_left, y_right, fold = spec._branch
+    if token_x:  # x is range-checked and solved as given, then read as a float (state_from_x)
+        x = state.x + effective
+        _within(spec, x, x_bounds, "x", trade=True)
+        y = rec.y(spec, x, "lower")
+        x = float(x)
     else:  # y moves on the state's side of the zero-price fold; at the fold, 'left' (p > 0)
-        x_bounds, y_left, y_right, fold = spec._branch
         y = state.y + effective
         left = fold is None or state.x <= fold
         _within(spec, y, y_left if left else y_right, "y", trade=True)
         x = x_from_y_on_side(spec, y, "left" if left else "right")
         _within(spec, x, x_bounds, "x")  # cpmm's x overflows where y nears 0
-        # y stays the exact requested reserve; ccmm's angle reads the y solved from x.
-        rec = _FAMILIES[spec.family]
-        new = PoolState(x, y, rec.theta(spec, x, rec.y(spec, x, "lower")) if rec.theta else None)
-    price, res = _check(spec, new)
+    # y stays the exact requested reserve; ccmm's angle reads the y solved from x.
+    new = PoolState(x, y, rec.theta(spec, x, y if token_x else rec.y(spec, x, "lower"))
+                    if rec.theta else None)
+    res = _on_curve(spec, rec, x, y)
+    price = rec.price(spec, new)
     object.__setattr__(new, "_checked", (spec, price))  # not yet seen by any caller
     return new, price, res
 
 
-def _check(spec: CurveSpec, state: PoolState) -> tuple[float, float]:
-    """(price, residual) of a state after the one full check of a pool state; see price_of."""
+def _on_curve(spec: CurveSpec, rec: _Record, x: float, y: float) -> float:
+    """The residual of (x, y), refused unless within 1e-9 of the record's scale at y."""
+    res = invariant_residual(spec, x, y)
+    if not abs(res) <= _RESIDUAL_TOL * rec.scale(spec, y):  # a NaN reserve fails too
+        raise DomainError(f"state ({x}, {y}) is off-curve: residual {res:.3e}")
+    return res
+
+
+def _check(spec: CurveSpec, state: PoolState) -> float:
+    """The price of a state after the one full check of a pool state; see price_of."""
     rec = _FAMILIES[spec.family]
     x_bounds, y_left, _, _ = spec._branch
-    res = invariant_residual(spec, state.x, state.y)
-    if not abs(res) <= _RESIDUAL_TOL * rec.scale(spec, state.y):  # a NaN reserve fails too
-        raise DomainError(f"state ({state.x}, {state.y}) is off-curve: residual {res:.3e}")
+    _on_curve(spec, rec, state.x, state.y)
     _within(spec, state.x, x_bounds, "x")
     price = rec.price(spec, state)
     if rec.upper_branch and state.y > y_left[1] and math.isfinite(price):
         raise DomainError(f"state ({state.x}, {state.y}) is on the upper (plotting) branch")
-    return price, res
+    return price
 
 
 def ccmm_angle_from_price(p: float) -> float:
@@ -616,15 +628,9 @@ def _parabola_x(p: float, m: int) -> float:
 
 
 def state_from_x(spec: CurveSpec, x: float) -> PoolState:
-    """Build the on-curve trading-branch state at reserve x."""
-    return _at_x(spec, x)
-
-
-def _at_x(spec: CurveSpec, x: float, trade: bool = False) -> PoolState:
-    """The trading-branch state at x, for state_from_x and a trade's x in.  x is
-    range-checked and solved as given, so a refusal names it so, and only then
-    read as a float; ``trade`` words the refusal as the trade's (see _within)."""
-    _within(spec, x, spec._branch[0], "x", trade=trade)
+    """Build the on-curve trading-branch state at reserve x.  x is range-checked and
+    solved as given, so a refusal names it so, and only then read as a float."""
+    _within(spec, x, spec._branch[0], "x")
     rec = _FAMILIES[spec.family]
     y = rec.y(spec, x, "lower")
     x = float(x)

@@ -50,21 +50,17 @@ class SwapResult(Value):
     new_state: PoolState
 
 
-def _validate_request(req: SwapRequest) -> None:
-    if req.token_in not in (TOKEN_X, TOKEN_Y):
+def quote_exact_in(spec: CurveSpec, state: PoolState, req: SwapRequest) -> SwapResult:
+    """Quote an exact-input swap without executing it."""
+    global _pending
+    token_x = req.token_in == TOKEN_X
+    if not (token_x or req.token_in == TOKEN_Y):
         raise ParameterError(f"token_in must be 'x' or 'y', got {req.token_in!r}")
     if not math.isfinite(req.amount_in) or req.amount_in == 0.0:
         raise ParameterError(f"amount_in must be finite and nonzero, got {req.amount_in}")
     if not math.isfinite(req.fee) or req.fee < 0.0 or req.fee >= 1.0:
         raise InvalidFee(f"fee must lie in [0, 1), got {req.fee}")
-
-
-def quote_exact_in(spec: CurveSpec, state: PoolState, req: SwapRequest) -> SwapResult:
-    """Quote an exact-input swap without executing it."""
-    global _pending
-    _validate_request(req)
     price_before = curves.price_of(spec, state)
-    token_x = req.token_in == TOKEN_X
     new_state, price_after, residual = curves._trade(
         spec, state, token_x, (1.0 - req.fee) * req.amount_in)
     amount_out = state.y - new_state.y if token_x else state.x - new_state.x
@@ -92,9 +88,7 @@ def execute_swap(
     return result.new_state, result
 
 
-def price_impact(
-    spec: CurveSpec, state: PoolState, req: SwapRequest
-) -> tuple[float, float]:
+def price_impact(spec: CurveSpec, state: PoolState, req: SwapRequest) -> tuple[float, float]:
     """(price_before, price_after) for a prospective trade."""
     result = quote_exact_in(spec, state, req)
     return result.price_before, result.price_after

@@ -1,14 +1,16 @@
-"""README's and PAPER.md's Python blocks run, and every literal they show in a comment holds.
+"""README's and PAPER.md's Python blocks run, and every value they show in a comment holds.
 
 A document's ``python`` blocks run in order, in one namespace, from the repository root
 (README reads ``tests/data/spot_prices.csv``).  The comment after an expression shows its
 value where the comment's text, up to a ``: `` or `` —`` that starts prose, is a Python
 literal: the value's repr must be that text, or start with it where it ends in ``...``.
-Other comments are prose and are not read.
+The comments in ``PROSE`` show a value in prose; each is compared with what it states.
+Other comments are not read.
 """
 
 import ast
 import io
+import math
 import re
 import tokenize
 from pathlib import Path
@@ -19,6 +21,14 @@ ROOT = Path(__file__).resolve().parent.parent
 BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
 # the expressions whose comments are read as values, in each document's order
 SHOWN = ["res.price_after", "st2.x > spec.k", "n.tail_index(samples)", "g.gamma"]
+# each comment that shows a value in prose, in each document's order, and that value as an
+# expression in the namespace the blocks have built so far (with ``sqrt``)
+PROSE = {
+    "1/sqrt(2): the peak": "1/sqrt(2)",
+    "equals state_from_price(spec, -0.5).x": "n.state_from_price(spec, -0.5).x",
+    "{2022: (0 days, min 48.75), 2023: (2, -5.25)}":
+        "{2022: n.YearStats(0, 48.75), 2023: n.YearStats(2, -5.25)}",
+}
 
 
 def shown_value(comment: str):
@@ -33,15 +43,17 @@ def shown_value(comment: str):
     return text, prefix
 
 
-def run_blocks(doc: str) -> list:
-    """Run every python block of ``doc``; (expression, value, shown text, is_prefix)."""
-    namespace, checked = {}, []
+def run_blocks(doc: str, read=shown_value, namespace=None) -> list:
+    """Run every python block of ``doc`` in ``namespace`` (a new one by default);
+    (expression, value, *read(comment)) for each expression whose comment ``read`` accepts:
+    by default (shown text, is_prefix)."""
+    namespace, checked = {} if namespace is None else namespace, []
     for block in BLOCK.findall((ROOT / doc).read_text(encoding="utf-8")):
         tokens = tokenize.generate_tokens(io.StringIO(block).readline)
         comments = {tok.start[0]: tok.string for tok in tokens if tok.type == tokenize.COMMENT}
         for stmt in ast.parse(block).body:
             shown = comments.get(stmt.end_lineno)
-            shown = shown and isinstance(stmt, ast.Expr) and shown_value(shown)
+            shown = shown and isinstance(stmt, ast.Expr) and read(shown)
             code = ast.Expression(stmt.value) if shown else ast.Module([stmt], [])
             value = eval(compile(code, doc, "eval" if shown else "exec"), namespace)
             if shown:
@@ -56,6 +68,21 @@ def test_python_blocks_run_and_show_their_values(doc, monkeypatch):
     assert [expr for expr, *_ in checked] == SHOWN
     for expr, value, text, prefix in checked:
         assert repr(value).startswith(text) if prefix else repr(value) == text, (expr, value)
+
+
+@pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
+def test_prose_comments_show_their_values(doc, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    namespace = {}
+
+    def stated(comment):  # (comment text, the value it states) for a comment in PROSE
+        text = comment.lstrip("#").strip()
+        return text in PROSE and (text, eval(PROSE[text], {**namespace, "sqrt": math.sqrt}))
+
+    checked = run_blocks(doc, stated, namespace)
+    assert [text for *_, text, _ in checked] == list(PROSE)
+    for expr, value, text, expected in checked:
+        assert value == expected, (expr, text, value)
 
 
 def test_a_comment_shows_a_literal_up_to_its_prose():

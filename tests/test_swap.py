@@ -563,3 +563,110 @@ def test_fee_comes_off_the_input_reserve_exactly():
             new, _ = execute_swap(spec, state, SwapRequest(token, amount, fee=0.003))
             moved = (new.x, state.x) if token == TOKEN_X else (new.y, state.y)
             assert moved[0] == moved[1] + (1.0 - 0.003) * amount
+
+
+# ------------------------------------------------- a trade's own check of its new state
+
+# (spec, x span to start from, y span to move by): the ccmm and csemm branches, and
+# wide enough windows of the cpmm and parabola ones, whose fold is at x = 1
+CHECKED_TRADES = [(CurveSpec.ccmm(1.0), 2.0, 1.0), (CurveSpec.csemm(3.0, 4.0), 6.0, 4.0),
+                  (CurveSpec.csemm(8.0, 2.5), 16.0, 2.5), (CurveSpec.cpmm(1.0), 4.0, 4.0),
+                  (CurveSpec.parabola(2), 4.0, 1.0)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.sampled_from(CHECKED_TRADES),
+       where=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0)),
+       token=st.sampled_from((TOKEN_X, TOKEN_Y)),
+       reach=st.one_of(st.sampled_from([-1.0, -0.5, 0.5, 1.0]), st.floats(-1.5, 1.5)),
+       fee=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)))
+def test_a_trade_result_matches_the_full_check_of_its_state(case, where, token, reach, fee):
+    # A trade checks its new state in one pass, without the full check's second range test
+    # and upper-branch test; the full check of the same reserves must agree with it.
+    spec, x_span, y_span = case
+    x0 = where * x_span
+    if spec.family.value == "cpmm" and x0 == 0.0:
+        x0 = 0.5 * x_span  # x = 0 is off cpmm's branch
+    amount = reach * (x_span if token == TOKEN_X else y_span)
+    if amount == 0.0:
+        return
+    try:
+        new, result = execute_swap(spec, state_from_x(spec, x0), SwapRequest(token, amount, fee))
+    except NegammError:
+        return  # past a branch end, or a cpmm x that overflows
+    fresh = PoolState(new.x, new.y, new.theta)  # no stored check: price_of checks it in full
+    assert float.hex(result.price_after) == float.hex(price_of(spec, fresh))
+    assert float.hex(result.residual_after) == float.hex(invariant_residual(spec, new.x, new.y))
+    if spec.family.value in ("ccmm", "csemm"):  # the top of the left-side y range
+        assert new.y <= (spec.k if spec.family.value == "ccmm" else spec.beta)
+
+
+# (spec, start x, token, amount, message): a trade leaves the branch, per family and
+# token, on both sides of the fold where the y range differs by side
+TRADE_REFUSALS = [
+    (CurveSpec.ccmm(1.0), 0.5, TOKEN_X, 5.0,
+     "trade would move x to 5.5, outside the branch [0, 2.0]"),
+    (CurveSpec.ccmm(1.0), 1.0, TOKEN_Y, 5.0,
+     "trade would move y to 5.0, outside the branch [0, 1.0]"),
+    (CurveSpec.csemm(3.0, 4.0), 0.5, TOKEN_X, 6.0,
+     "trade would move x to 6.5, outside the branch [0, 6.0]"),
+    (CurveSpec.csemm(3.0, 4.0), 3.0, TOKEN_Y, 5.0,
+     "trade would move y to 5.0, outside the branch [0, 4.0]"),
+    (CurveSpec.cpmm(1.0), 0.5, TOKEN_X, -1.0,
+     "trade would move x to -0.5, outside the branch (0, inf)"),
+    (CurveSpec.cpmm(1.0), 0.5, TOKEN_Y, -3.0,
+     "trade would move y to -1.0, outside the branch (0, inf)"),
+    (CurveSpec.parabola(2), 0.5, TOKEN_X, -1.0,
+     "trade would move x to -0.5, outside the branch [0, inf)"),
+    (CurveSpec.parabola(2), 0.25, TOKEN_Y, 1.0,
+     "trade would move y to 1.25, outside the branch [0, 1.0]"),
+    (CurveSpec.parabola(2), 4.0, TOKEN_Y, -2.0,
+     "trade would move y to -1.0, outside the branch [0, inf)"),
+]
+
+
+@pytest.mark.parametrize("spec, x0, token, amount, message", TRADE_REFUSALS)
+def test_a_trade_off_the_branch_is_refused_in_the_trade_wording(spec, x0, token, amount,
+                                                               message):
+    state = state_from_x(spec, x0)
+    for fn in (quote_exact_in, execute_swap):
+        with pytest.raises(DomainExceeded) as exc:
+            fn(spec, state, SwapRequest(token, amount))
+        assert str(exc.value) == message
+
+
+def test_a_y_trade_whose_solved_x_leaves_the_branch_is_refused():
+    # The solved x is checked as a reserve: cpmm's x = 1/y overflows for a subnormal y.
+    spec = CurveSpec.cpmm(1.0)
+    state = state_from_x(spec, 1e300)
+    with pytest.raises(DomainError) as exc:
+        execute_swap(spec, state, SwapRequest(TOKEN_Y, 1e-310 - state.y))
+    assert type(exc.value) is DomainError
+    assert str(exc.value) == "cpmm x must lie in (0, inf), got x=inf"
+
+
+@pytest.mark.parametrize("spec, state, message", [
+    (CurveSpec.ccmm(1.0), PoolState(0.5, 0.5),
+     "state (0.5, 0.5) is off-curve: residual -5.000e-01"),
+    (CurveSpec.csemm(3.0, 4.0), PoolState(3.0, 4.0),
+     "state (3.0, 4.0) is off-curve: residual -1.000e+00"),
+    (CurveSpec.cpmm(1.0), PoolState(1.0, 2.0),
+     "state (1.0, 2.0) is off-curve: residual 1.000e+00"),
+    (CurveSpec.parabola(2), PoolState(4.0, 0.0),
+     "state (4.0, 0.0) is off-curve: residual -1.000e+00"),
+])
+def test_a_quote_on_an_off_curve_state_is_refused(spec, state, message):
+    for req in BOTH_TOKENS:
+        with pytest.raises(DomainError) as exc:
+            quote_exact_in(spec, state, req)
+        assert type(exc.value) is DomainError
+        assert str(exc.value) == message
+
+
+def test_the_on_curve_tolerance_is_inclusive():
+    # At x = 1 the parabola's residual is y itself and its scale is 1, so a residual of
+    # exactly 1e-9 times the scale is accepted and the next float above it is refused.
+    spec = CurveSpec.parabola(2)
+    assert price_of(spec, PoolState(1.0, 1e-9)) == 0.0
+    with pytest.raises(DomainError, match="off-curve"):
+        price_of(spec, PoolState(1.0, math.nextafter(1e-9, 1.0)))

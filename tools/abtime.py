@@ -10,9 +10,11 @@ One process loads ``negamm`` from the parent tree's ``src`` and then from
 this tree's, each under its own module objects, so the two copies run side by
 side under the same interpreter, allocator and machine load.  Each primitive
 (spec builds, value-object builds and one field read of a traded state, trades
-from a traded state, a quote, a read and then the execute of the same request,
-a full state check, price inversions and greeks) is timed with ``timeit`` on
-one copy and then the other, alternating which goes first, ``k`` times each;
+from a traded state left of the fold and, for ccmm and csemm, from one right of
+it, where a y-in trade solves on the fold's other side, a quote, a read and then
+the execute of the same request, a full state check, price inversions and
+greeks) is timed with ``timeit`` on one copy and then the other, alternating
+which goes first, ``k`` times each;
 the min of each side is printed in microseconds with the change/parent ratio.
 The two read-then-execute rows time the execute that returns its own quote;
 every other ``execute_swap`` row solves in full, because an execute never
@@ -82,13 +84,18 @@ def namespace(n, build) -> dict:
     """The names a timed statement may use, for the spec ``build(CurveSpec)``.
 
     ``fresh`` is the state at x = 0.7, with no stored check; ``traded`` the
-    state an x-in trade from 0.5 left at 0.7, which carries its checked price.
+    state an x-in trade from 0.5 left at 0.7, which carries its checked price;
+    ``right``, where the spec has a fold, the state an x-in trade left 0.5 right of it.
     """
     spec = build(n.CurveSpec)
     ns = {name: getattr(n, name) for name in FUNCTIONS}
     ns.update(spec=spec, fresh=n.state_from_x(spec, 0.7),
               req_x=n.SwapRequest("x", 0.1, 0.003), req_y=n.SwapRequest("y", 0.05, 0.003))
     ns["traded"] = n.execute_swap(spec, n.state_from_x(spec, 0.5), n.SwapRequest("x", 0.2))[0]
+    fold = n.fold_x(spec)
+    if fold is not None:
+        ns["right"] = n.execute_swap(spec, n.state_from_x(spec, fold + 0.3),
+                                     n.SwapRequest("x", 0.2))[0]
     return ns
 
 
@@ -109,6 +116,8 @@ PRIMITIVES = (
      ("traded.x, one field read", "traded.x", CCMM)]
     + [(f"execute_swap {family[0]} {token} in", f"execute_swap(spec, traded, req_{token})", family)
        for family in (CCMM, CSEMM34, CPMM, PARABOLA) for token in "xy"]
+    + [(f"execute_swap {family[0]} {token} in, p < 0", f"execute_swap(spec, right, req_{token})",
+        family) for family in (CCMM, CSEMM34) for token in "xy"]
     + [("quote_exact_in ccmm k=1 x in", "quote_exact_in(spec, traded, req_x)", CCMM),
        ("quote, execute ccmm k=1 x in",
         "quote_exact_in(spec, traded, req_x); execute_swap(spec, traded, req_x)", CCMM),
