@@ -344,6 +344,9 @@ def run(argv=None) -> int:
     except (NegammError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # a --grid or its rows too large for this process
+        print("error: out of memory", file=sys.stderr)
+        return 1
     return 0
 
 

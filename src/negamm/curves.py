@@ -30,7 +30,8 @@ checks read that resolved branch.  The record's bounds are the only statement
 of each reserve range: reserves, states, branch names and prices are checked
 once (``_within``, ``_check``, ``y_from_x``, ``state_from_price``), and the
 kernels only compute.  A trade is one ``_trade``, one pass that builds its new
-state, checks its x range and its residual once each and stores its price.
+state, checks its x range and its residual once each and stores its price; its
+y, residual and price come from one call of the record's ``point``.
 """
 
 from __future__ import annotations
@@ -351,47 +352,62 @@ def price_of(spec: CurveSpec, state: PoolState) -> float:
 def _trade(spec: CurveSpec, state: PoolState, token_x: bool, effective: float) -> tuple:
     """(new state, its price, its residual) once ``effective`` of X (``token_x``) or of Y
     enters the pool, in one pass: one curve solve on the family record, one range check of
-    the new x, one on-curve test, one price.  No upper-branch test: y(x) on the lower
-    branch, or a y inside the branch's y range, never lies above the branch."""
+    the new x, and one ``point`` for its residual, on-curve test and price.  No upper-branch
+    test: y(x) on the lower branch, or a y inside the branch's y range, never lies above the
+    branch."""
     rec = _FAMILIES[spec.family]
     x_bounds, y_left, y_right, fold = spec._branch
-    if token_x:  # x is range-checked and solved as given, then read as a float (state_from_x)
+    if token_x:  # x is range-checked as given, as in state_from_x, then read as a float
         x = state.x + effective
         _within(spec, x, x_bounds, "x", trade=True)
-        y = rec.y(spec, x, "lower")
         x = float(x)
+        y, res, price = _point(spec, rec, x, None)
     else:  # y moves on the state's side of the zero-price fold; at the fold, 'left' (p > 0)
         y = state.y + effective
         left = fold is None or state.x <= fold
         _within(spec, y, y_left if left else y_right, "y", trade=True)
         x = x_from_y_on_side(spec, y, "left" if left else "right")
         _within(spec, x, x_bounds, "x")  # cpmm's x overflows where y nears 0
+        y, res, price = _point(spec, rec, x, y)
     # y stays the exact requested reserve; ccmm's angle reads the y solved from x.
     new = PoolState(x, y, rec.theta(spec, x, y if token_x else rec.y(spec, x, "lower"))
                     if rec.theta else None)
-    res = _on_curve(spec, rec, x, y)
-    price = rec.price(spec, new)
     object.__setattr__(new, "_checked", (spec, price))  # not yet seen by any caller
     return new, price, res
 
 
-def _on_curve(spec: CurveSpec, rec: _Record, x: float, y: float) -> float:
-    """The residual of (x, y), refused unless within 1e-9 of the record's scale at y."""
-    res = invariant_residual(spec, x, y)
-    if not abs(res) <= _RESIDUAL_TOL * rec.scale(spec, y):  # a NaN reserve fails too
-        raise DomainError(f"state ({x}, {y}) is off-curve: residual {res:.3e}")
-    return res
+def _point(spec: CurveSpec, rec: _Record, x: float, y: float | None) -> tuple:
+    """The record's (y, residual, price) at an on-branch x, refused unless the residual is
+    within 1e-9 of the record's scale at y.  A given y whose square or power leaves the
+    float range has residual inf, as in invariant_residual."""
+    try:
+        y, res, price = rec.point(spec, x, y)
+    except OverflowError:  # only a given y's: y(x) on the branch stays in range
+        res = price = math.inf
+    if abs(res) <= _RESIDUAL_TOL * rec.scale(spec, y):  # a NaN reserve fails
+        return y, res, price
+    raise _off_curve(x, y, res)
+
+
+def _off_curve(x: float, y: float, res: float) -> DomainError:
+    return DomainError(f"state ({x}, {y}) is off-curve: residual {res:.3e}")
 
 
 def _check(spec: CurveSpec, state: PoolState) -> float:
     """The price of a state after the one full check of a pool state; see price_of."""
     rec = _FAMILIES[spec.family]
     x_bounds, y_left, _, _ = spec._branch
-    _on_curve(spec, rec, state.x, state.y)
-    _within(spec, state.x, x_bounds, "x")
-    price = rec.price(spec, state)
-    if rec.upper_branch and state.y > y_left[1] and math.isfinite(price):
-        raise DomainError(f"state ({state.x}, {state.y}) is on the upper (plotting) branch")
+    x, y = state.x, state.y
+    try:
+        _within(spec, x, x_bounds, "x")
+    except DomainError:  # an off-curve state is refused as such before its x's range
+        res = invariant_residual(spec, x, y)
+        if not abs(res) <= _RESIDUAL_TOL * rec.scale(spec, y):
+            raise _off_curve(x, y, res) from None
+        raise
+    _, _, price = _point(spec, rec, x, y)
+    if rec.upper_branch and y > y_left[1] and math.isfinite(price):
+        raise DomainError(f"state ({x}, {y}) is on the upper (plotting) branch")
     return price
 
 
@@ -659,16 +675,18 @@ class _Record(Value):
     (x bounds, left-side y bounds, right-side y bounds, fold), stored on a spec as
     ``_branch`` when it is built: reserves lie in [lo, hi] (default [0, inf), no
     fold), or (lo, hi] when ``open_low``, the only statement of each range, which
-    ``_within`` checks before any kernel runs.  ``price(spec, state)`` is a checked
-    state's marginal price, ``scale(spec, y)`` the size its residual is compared
-    with, and ``gamma(spec, p, x)`` gets the x quoting p.  ``derive`` returns the
-    spec's derived constants, stored on it as ``_consts``.  Entries call private
-    kernels, which only compute and trust the spec and their arguments (the
-    parabola's ``y`` refuses a y past the float range); ``csemm_x_from_price`` and
-    ``x_from_y_on_side`` are called by module attribute only because
-    ``bench/layers.py`` requires their spans.  csemm's and the parabola's
-    ``at_price`` build their state from the inverted x without a second range
-    check: bisection midpoints lie in [0, 2 alpha], and 1/(1+p)^2 >= 0 for p > -1.
+    ``_within`` checks before any kernel runs.  ``point(spec, x, y)`` is (y, residual,
+    marginal price) at an x on the branch, where y=None means y(x) on the lower branch,
+    each sub-expression evaluated once: it is how a trade and ``_check`` read a state;
+    ``residual`` stays for x off the branch (``invariant_residual``).  ``scale(spec, y)``
+    is the size a residual is compared with, and ``gamma(spec, p, x)`` gets the x
+    quoting p.  ``derive`` returns the spec's derived constants, stored on it as
+    ``_consts``.  Entries call private kernels, which only compute and trust the spec and
+    their arguments (the parabola's ``y``, and its ``point`` given no y, refuse a y past
+    the float range); ``csemm_x_from_price`` and ``x_from_y_on_side`` are called by
+    module attribute only because ``bench/layers.py`` requires their spans.  csemm's and
+    the parabola's ``at_price`` build their state from the inverted x without a second
+    range check: bisection midpoints lie in [0, 2 alpha], and 1/(1+p)^2 >= 0 for p > -1.
     """
 
     params: dict
@@ -676,7 +694,7 @@ class _Record(Value):
     residual: Callable
     y: Callable
     x_of_y: Callable
-    price: Callable
+    point: Callable
     at_price: Callable
     gamma: Callable
     defaults: dict = Factory(dict)
@@ -703,12 +721,22 @@ def _require(spec: CurveSpec, lo: float, strict: bool, *names: str,
         raise ParameterError(f"{spec.family.value} requires {rule}, got {name}={val}")
 
 
-def _ccmm_price(spec: CurveSpec, state: PoolState) -> float:
-    k, x = spec.k, state.x
+def _cpmm_point(spec: CurveSpec, x: float, y: float | None) -> tuple:
+    l2 = spec.L * spec.L
+    if y is None:
+        y = l2 / x
+    return y, x * y - l2, y / x
+
+
+def _ccmm_point(spec: CurveSpec, x: float, y: float | None) -> tuple:
+    k = spec.k
     root = math.sqrt(x * (2.0 * k - x))
+    if y is None:
+        y = k - root
+    res = (x - k) ** 2 + (y - k) ** 2 - k * k
     if root == 0.0:  # an end of the arc, or x so near 0 that x(2k - x) underflows
-        return math.inf if x < k else -math.inf
-    return (k - x) / root
+        return y, res, math.inf if x < k else -math.inf
+    return y, res, (k - x) / root
 
 
 def _ccmm_at_price(spec: CurveSpec, p: float) -> PoolState:
@@ -724,6 +752,29 @@ def _csemm_residual(spec: CurveSpec, x: float, y: float) -> float:
     term_x = 1.0 - _csemm_inner(x, a, u_a)
     term_y = 1.0 - _csemm_inner(y, b, u_b)
     return term_x + term_y - 1.0
+
+
+def _csemm_point(spec: CurveSpec, x: float, y: float | None) -> tuple:
+    """_csemm_y, _csemm_residual and _csemm_price at once, from one ln|x/a - 1|, one
+    1 - |x/a - 1|^u_a and one ln|y/b - 1| on the lower branch."""
+    a, b = spec.alpha, spec.beta
+    u_a, u_b = spec._consts
+    if x == a:  # the fold, where ln|x/a - 1| is -inf
+        inner, lower, price = 1.0, 0.0, 0.0
+    else:
+        lgx = _log_abs_dev(x, a)
+        inner = -math.expm1(u_a * lgx)  # 1 - |x/a-1|^u_a, in [0, 1)
+        if inner == 0.0:  # a branch end, or x/a underflows to 0 there: the end's y and price
+            lower, price = float(b), math.inf if x < a else -math.inf
+        else:
+            lgy = math.log(inner) / u_b
+            lower = 0.0 - b * math.expm1(lgy)  # the near-side rule of _csemm_y
+            sgn = 1.0 if x < a else -1.0  # _csemm_price's two signs in one
+            num = u_a * b * math.exp((u_a - 1.0) * lgx) * sgn
+            price = num / (u_b * a * math.exp((u_b - 1.0) * lgy))
+    if y is None:
+        y = lower
+    return y, (1.0 - inner) + (1.0 - _csemm_inner(y, b, u_b)) - 1.0, price
 
 
 def _csemm_x_of_y(spec: CurveSpec, y: float, side: str) -> float:
@@ -805,11 +856,18 @@ def _parabola_x_of_y(spec: CurveSpec, y: float, side: str) -> float:
     return (1.0 - root) ** 2 if side == "left" else (1.0 + root) ** 2
 
 
-def _parabola_price(spec: CurveSpec, state: PoolState) -> float:
-    if state.x == 0.0:
-        return math.inf
-    root = math.sqrt(state.x)
-    return spec.m * (1.0 - root) ** (spec.m - 1) / (2.0 * root)
+def _parabola_point(spec: CurveSpec, x: float, y: float | None) -> tuple:
+    root = math.sqrt(x)
+    try:
+        power = (1.0 - root) ** spec.m
+    except OverflowError:  # (1 - sqrt(x))^m for m >= 4 and huge x
+        if y is None:
+            raise DomainError(f"parabola y leaves the float range at x={x}") from None
+        raise
+    if y is None:
+        y = power
+    price = spec.m * (1.0 - root) ** (spec.m - 1) / (2.0 * root) if x != 0.0 else math.inf
+    return y, y - power, price
 
 
 _FAMILIES: dict[Family, _Record] = {
@@ -821,7 +879,7 @@ _FAMILIES: dict[Family, _Record] = {
         residual=lambda s, x, y: x * y - s.L * s.L,
         y=lambda s, x, branch: s.L * s.L / x,
         x_of_y=lambda s, y, side: s.L * s.L / y,
-        price=lambda s, state: state.y / state.x,
+        point=_cpmm_point,
         at_price=lambda s, p: PoolState(_cpmm_x(p, s.L), s.L * math.sqrt(p)),
         # where 2 p^1.5 underflows to zero, below p ~ 1.2e-216, divide in two steps
         gamma=lambda s, p, x: -s.L / d if (d := 2.0 * p * math.sqrt(p))
@@ -836,7 +894,7 @@ _FAMILIES: dict[Family, _Record] = {
         upper_branch=True,
         y=_ccmm_y,
         x_of_y=_ccmm_y,
-        price=_ccmm_price,
+        point=_ccmm_point,
         at_price=_ccmm_at_price,
         theta=lambda s, x, y: math.atan2(y - s.k, x - s.k) + _TWO_PI,  # atan2 in [-pi, 0]
         gamma=lambda s, p, x: -s.k / (1.0 + p * p) ** 1.5,
@@ -850,7 +908,7 @@ _FAMILIES: dict[Family, _Record] = {
         upper_branch=True,
         y=_csemm_y,
         x_of_y=_csemm_x_of_y,
-        price=lambda s, state: _csemm_price(state.x, s.alpha, s.beta, *s._consts),
+        point=_csemm_point,
         at_price=lambda s, p: PoolState(x := csemm_x_from_price(p, s.alpha, s.beta),
                                         _csemm_y(s, x, "lower")),
         gamma=_csemm_gamma,
@@ -865,7 +923,7 @@ _FAMILIES: dict[Family, _Record] = {
         residual=lambda s, x, y: y - (1.0 - math.sqrt(max(x, 0.0))) ** s.m,
         y=_parabola_y,
         x_of_y=_parabola_x_of_y,
-        price=_parabola_price,
+        point=_parabola_point,
         at_price=lambda s, p: PoolState(x := _parabola_x(p, s.m), _parabola_y(s, x, "lower")),
         gamma=lambda s, p, x: -2.0 / (1.0 + p) ** 3,
     ),

@@ -248,12 +248,13 @@ def tail_index(samples: Sequence[FingerprintSample]) -> float:
         raise InsufficientDataError(
             f"tail fit needs at least 10 positive samples, got {len(points)}"
         )
-    import statistics
-    try:
-        fit = statistics.linear_regression(*zip(*points))
-    except statistics.StatisticsError as exc:  # every coordinate is the same
-        raise InsufficientDataError(f"tail fit needs distinct coordinates: {exc}") from None
-    return -fit.slope
+    # statistics.linear_regression's slope as CPython 3.10 and 3.11 sum it, with fsum
+    xs, ys = zip(*points)
+    xbar, ybar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    sxx = math.fsum((d := xi - xbar) * d for xi in xs)
+    if sxx == 0.0:  # every coordinate is the same
+        raise InsufficientDataError("tail fit needs distinct coordinates: x is constant")
+    return -(math.fsum((xi - xbar) * (yi - ybar) for xi, yi in points) / sxx)
 
 
 def circle_angle_of_price(p: float) -> float:

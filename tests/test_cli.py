@@ -309,6 +309,17 @@ def test_missing_input_file_exits_one():
     assert code == 1
 
 
+def test_a_grid_too_large_for_memory_is_one_error_line(monkeypatch):
+    from negamm import cli
+
+    def too_large(text):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_parse_grid", too_large)
+    argv = ["curve", "--family", "ccmm", "--k", "1", "--grid", "0:2:100000000"]
+    assert invoke(argv) == (1, "", "error: out of memory\n")
+
+
 # -------------------------------------------------------------- determinism
 
 

@@ -39,6 +39,7 @@ from negamm import (
     x_from_y_on_side,
     y_from_x,
 )
+from negamm.curves import _FAMILIES, _csemm_price
 from conftest import CIRCLE_PARAM
 
 
@@ -521,6 +522,19 @@ def test_price_of_refuses_a_near_curve_state_past_the_branch():
         price_of(CurveSpec.ccmm(1.0), PoolState(2.0000000001, 1.0))
 
 
+def test_past_the_branch_the_on_curve_tolerance_is_inclusive():
+    # k*k + 1e-9*k*k is a float at this k, so a state one ulp past x = 2k has a residual
+    # of exactly the tolerance: it is on the curve and refused for its x; a y whose
+    # residual is the next float up is refused as off the curve first.
+    spec = CurveSpec.ccmm(1.0000000413701846)
+    x, y = 2.0000000827403697, 0.9999684186062958
+    assert invariant_residual(spec, x, y) == 1e-9 * (spec.k * spec.k)
+    with pytest.raises(DomainError, match="x must lie in"):
+        price_of(spec, PoolState(x, y))
+    with pytest.raises(DomainError, match="off-curve"):
+        price_of(spec, PoolState(x, 0.9999684186045625))
+
+
 def test_non_finite_price_arguments_are_refused():
     with pytest.raises(ParameterError):
         ccmm_angle_from_price(math.nan)
@@ -653,3 +667,61 @@ def test_state_from_x_range_checks_the_x_it_was_given():
         state_from_x(spec, 2**60)
     state = state_from_x(spec, 1)
     assert state == state_from_x(spec, 1.0) and type(state.x) is float
+
+
+# ------------------------------------------------------------ record points
+
+POINT_SPECS = [CurveSpec.ccmm(1.0), CurveSpec.ccmm(1e-150), CurveSpec.csemm(3.0, 4.0),
+               CurveSpec.csemm(CIRCLE_PARAM, CIRCLE_PARAM), CurveSpec.csemm(8.0, 2.5),
+               CurveSpec.csemm(2.0, 2.0), CurveSpec.csemm(2.0, 3.0), CurveSpec.csemm(3.0, 2.0),
+               CurveSpec.cpmm(1.0), CurveSpec.cpmm(1e150), CurveSpec.parabola(2),
+               CurveSpec.parabola(4)]
+
+
+def _point_xs(spec):
+    """A dense on-branch x set: the branch ends, the fold and their float neighbours,
+    tiny x (csemm's x/alpha underflows to 0 at 5e-324), then 401 even steps across a
+    bounded branch, or 10^(-12..12) in 385 steps across an unbounded one."""
+    (lo, hi), fold = spec._branch[0], fold_x(spec)
+    xs = {5e-324, 1e-310, 1e-300, 1e-16}
+    for mark in (lo, hi, fold):
+        if mark is not None and math.isfinite(mark):
+            xs.update((mark, math.nextafter(mark, -math.inf), math.nextafter(mark, math.inf)))
+    if math.isfinite(hi):
+        xs.update(hi * i / 400 for i in range(401))
+    else:
+        xs.update(10.0 ** (e / 16) for e in range(-192, 193))
+    return sorted(x for x in xs if lo < x <= hi or x == lo and spec.family != "cpmm")
+
+
+def _reference_price(spec, x, y):
+    """The marginal price at x: _csemm_price, or each family's closed form."""
+    if spec.family == "csemm":
+        return _csemm_price(x, spec.alpha, spec.beta, *spec._consts)
+    if spec.family == "ccmm":
+        k = spec.k
+        root = math.sqrt(x * (2.0 * k - x))
+        return (k - x) / root if root else (math.inf if x < k else -math.inf)
+    if spec.family == "parabola":
+        root = math.sqrt(x)
+        return spec.m * (1.0 - root) ** (spec.m - 1) / (2.0 * root) if x else math.inf
+    return y / x
+
+
+@pytest.mark.parametrize("spec", POINT_SPECS, ids=lambda s: s.family.value + ":" + ",".join(
+    f"{v:g}" for v in (s.k, s.alpha, s.beta, s.m, s.L) if v is not None))
+def test_a_record_point_is_y_residual_and_price_bit_for_bit(spec):
+    point = _FAMILIES[spec.family].point
+    xs = _point_xs(spec)
+    assert len(xs) >= 385
+    for x in xs:
+        lower = y_from_x(spec, x)
+        ys = [lower, 2.0 * lower + 0.25]  # on the curve, then off it
+        if spec.family in ("ccmm", "csemm"):
+            ys.append(y_from_x(spec, x, "upper"))
+        for given in [None, *ys]:
+            y = lower if given is None else given
+            want = (y, invariant_residual(spec, x, y), _reference_price(spec, x, y))
+            assert [v.hex() for v in point(spec, x, given)] == [v.hex() for v in want], (x, given)
+    if spec.family == "csemm":  # x/alpha underflows to 0: the branch end's y and price
+        assert point(spec, 5e-324, None)[::2] == (spec.beta, math.inf)

@@ -303,6 +303,27 @@ def test_tail_index_needs_enough_positive_samples():
         tail_index(zeros)
 
 
+def _power_law(coords, exponent=3.0):
+    return [FingerprintSample(coord=float(x), density=float(x) ** -exponent,
+                              domain_sign=POSITIVE) for x in coords]
+
+
+def test_tail_index_fits_exactly_ten_samples():
+    assert tail_index(_power_law(range(1, 11))) == pytest.approx(3.0, abs=1e-12)
+
+
+def test_tail_index_skips_a_sample_at_coordinate_zero():
+    samples = _power_law(range(1, 13))
+    at_zero = FingerprintSample(coord=0.0, density=1.0, domain_sign=POSITIVE)
+    assert tail_index([at_zero, *samples]) == tail_index(samples)
+
+
+def test_numeric_fingerprint_halves_a_step_as_large_as_the_coordinate():
+    # At s = 1e-5 the step 1e-5 * max(1, s) equals s; halved, it never reaches s = 0.
+    [smp] = numeric_fingerprint(CurveSpec.ccmm(1.0), [1e-5], SQRTPRICE)
+    assert smp.density == pytest.approx(ccmm_liquidity_sqrtprice(1e-5, 1.0), rel=1e-6)
+
+
 # ------------------------------------------------------------- circle space
 
 
@@ -334,7 +355,7 @@ def test_gaussian_fingerprint_rejects_nonfinite_mu():
 
 def test_tail_index_needs_distinct_coordinates():
     samples = [FingerprintSample(coord=2.0, density=1.0 + i) for i in range(12)]
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InsufficientDataError, match="distinct coordinates: x is constant$"):
         tail_index(samples)
 
 

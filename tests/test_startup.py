@@ -227,6 +227,14 @@ def test_abtime_loads_each_tree_from_its_own_src(abtime, tmp_path, order):
             assert getattr(pkg, name).__code__.co_filename.startswith(src), (tree, name)
 
 
+def test_abtime_ops_counts_repeat_exactly(abtime):
+    pkg = abtime.load(str(ROOT))
+    [(stmt, build)] = [(stmt, build) for label, stmt, (_, build) in abtime.PRIMITIVES
+                       if label == "execute_swap csemm 3,4 x in"]
+    first, second = (abtime.row_ops(pkg, stmt, build) for _ in range(2))
+    assert first == second and first[0] > 100 and first[1] > 0
+
+
 def test_abtime_cli_header_says_whether_spawns_compile(abtime, tmp_path):
     (tmp_path / "a" / "src" / "negamm" / "__pycache__").mkdir(parents=True)
     (tmp_path / "b" / "src" / "negamm").mkdir(parents=True)

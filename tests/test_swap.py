@@ -296,8 +296,9 @@ def test_negative_price_region_x_input_yields_negative_out():
 
 
 def test_execute_swap_solves_the_curve_once(monkeypatch):
-    """Per trade the family record solves the curve once: y(x) for x in, x(y) for y
-    in, through one public x_from_y_on_side; only ccmm reads y(x) again, for its angle."""
+    """Per trade the family record solves the curve once: y(x) for x in, in its point
+    (given no y), x(y) for y in, through one public x_from_y_on_side; only ccmm reads
+    y(x) again, for its angle."""
     from negamm import curves
 
     calls = []  # (what ran, whether inside the public x_from_y_on_side)
@@ -305,13 +306,15 @@ def test_execute_swap_solves_the_curve_once(monkeypatch):
 
     def counting(entry, original):
         def wrapped(*args):
-            calls.append((entry, inside[0]))
+            if entry != "point" or args[2] is None:  # a point given its y solves nothing
+                calls.append((entry, inside[0]))
             return original(*args)
         return wrapped
 
     for fam, rec in list(curves._FAMILIES.items()):
         monkeypatch.setitem(curves._FAMILIES, fam, dataclasses.replace(
-            rec, y=counting("y", rec.y), x_of_y=counting("x_of_y", rec.x_of_y)))
+            rec, y=counting("y", rec.y), x_of_y=counting("x_of_y", rec.x_of_y),
+            point=counting("point", rec.point)))
     public = curves.x_from_y_on_side
 
     def x_from_y_on_side(*args):
@@ -330,7 +333,7 @@ def test_execute_swap_solves_the_curve_once(monkeypatch):
                 calls.clear()
                 new, res = execute_swap(spec, state, req)
                 if req.token_in == TOKEN_X:
-                    expected = [("y", False)]
+                    expected = [("point", False)]
                 else:
                     expected = [("x_from_y_on_side", False), ("x_of_y", True)]
                     expected += [("y", False)] * (spec.family == "ccmm")
@@ -370,16 +373,13 @@ def test_csemm_swap_reads_the_spec_exponents(monkeypatch):
             assert calls[0] == 0, (x, req)
 
 
-def test_execute_swap_computes_each_residual_once(monkeypatch):
-    from negamm import curves
-
-    calls = _count_calls(monkeypatch, curves, "invariant_residual")
+def test_execute_swap_computes_each_residual_once(residuals):
     for spec in ALL_FAMILIES:
         state = state_from_x(spec, 0.5)
         for req in BOTH_TOKENS:
-            calls[0] = 0
+            residuals[0] = 0
             execute_swap(spec, state, req)
-            assert calls[0] == 2, (spec, req)
+            assert residuals[0] == 2, (spec, req)
 
 
 def test_parabola_hot_paths_build_no_spec(monkeypatch):
@@ -490,29 +490,23 @@ def test_chained_trades_match_the_same_trades_on_fresh_states(spec):
     assert signs == ({1.0} if spec.family.value == "cpmm" else {1.0, -1.0})
 
 
-def test_execute_on_a_traded_state_computes_one_residual(monkeypatch):
-    from negamm import curves
-
-    calls = _count_calls(monkeypatch, curves, "invariant_residual")
+def test_execute_on_a_traded_state_computes_one_residual(residuals):
     for spec in ALL_FAMILIES:
         for req in BOTH_TOKENS:
             state, _ = execute_swap(spec, state_from_x(spec, 0.5), req)
-            calls[0] = 0
+            residuals[0] = 0
             execute_swap(spec, state, req)
-            assert calls[0] == 1, (spec, req)
+            assert residuals[0] == 1, (spec, req)
 
 
-def test_traded_state_gets_the_full_check_for_any_other_spec(monkeypatch):
-    from negamm import curves
-
-    calls = _count_calls(monkeypatch, curves, "invariant_residual")
+def test_traded_state_gets_the_full_check_for_any_other_spec(residuals):
     for spec in ALL_FAMILIES:
         state, result = execute_swap(spec, state_from_x(spec, 0.5), BOTH_TOKENS[0])
-        calls[0] = 0
-        assert price_of(spec, state) == result.price_after and calls[0] == 0
+        residuals[0] = 0
+        assert price_of(spec, state) == result.price_after and residuals[0] == 0
         equal = CurveSpec(spec.family, spec.k, spec.alpha, spec.beta, spec.m, spec.L)
         assert equal == spec and equal is not spec
-        assert price_of(equal, state) == result.price_after and calls[0] == 1
+        assert price_of(equal, state) == result.price_after and residuals[0] == 1
     # A different curve re-checks the state and refuses it: it is off that curve.
     state, _ = execute_swap(CurveSpec.ccmm(1.0), state_from_x(CurveSpec.ccmm(1.0), 0.5),
                             BOTH_TOKENS[0])

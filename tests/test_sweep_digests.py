@@ -7,9 +7,7 @@ CLI subcommand (its ``--help`` included, at ``COLUMNS=80``).  Each record is a
 call's ``float.hex`` values or its exception's class and text, or an
 invocation's exit code and the digests of its stdout and stderr.
 
-The digests hold on CPython 3.10 and 3.11, the versions CI runs.  On 3.12 the
-four ``tail_index`` groups differ (one value there moves by 1 ulp), so if 3.12
-joins CI those groups need a digest per version.
+The digests hold on CPython 3.10, 3.11 and 3.12, the versions CI runs.
 
 A change that moves outputs on purpose rewrites only the groups it means to
 change, with ``python tools/sweep.py --record tests/data/sweep_digests.json``.

@@ -39,7 +39,7 @@ CASES = {
     PoolState: (STATE, {"x": REQUIRED, "y": REQUIRED, "theta": None}, "x", 0.75),
     _Record: (_FAMILIES[Family.PARABOLA],
               {"params": REQUIRED, "check": REQUIRED, "residual": REQUIRED, "y": REQUIRED,
-               "x_of_y": REQUIRED, "price": REQUIRED, "at_price": REQUIRED, "gamma": REQUIRED,
+               "x_of_y": REQUIRED, "point": REQUIRED, "at_price": REQUIRED, "gamma": REQUIRED,
                "defaults": FACTORY_DICT, "open_low": False, "upper_branch": False,
                "branch": LAMBDA, "scale": LAMBDA, "theta": None, "derive": LAMBDA},
               "open_low", True),

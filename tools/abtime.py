@@ -5,6 +5,7 @@
     python tools/abtime.py --against PARENT -k 51     # more repeats
     python tools/abtime.py --against . --quick        # smoke run, short repeats
     python tools/abtime.py --against PARENT --cli     # CLI spawns, min of 5 rounds
+    python tools/abtime.py --against PARENT --ops     # instruction and C-call counts
 
 One process loads ``negamm`` from the parent tree's ``src`` and then from
 this tree's, each under its own module objects, so the two copies run side by
@@ -31,6 +32,15 @@ the minima (the benchmark's ``ops_per_s``) and their median.  Its header says
 whether the spawns can write bytecode and whether each tree has it already:
 where neither holds, every spawn compiles the sources it imports.
 
+``--ops`` times nothing: it counts, for one call of each primitive's statement
+on each tree after two warm-up calls, the bytecode instructions run
+(``sys.settrace`` with ``f_trace_opcodes``, or ``sys.monitoring``'s INSTRUCTION
+events on 3.12 and later) and the calls into C functions (``sys.setprofile``'s
+``c_call`` events), with the garbage collector off.
+The counts repeat exactly between runs of one interpreter, but depend on its
+version, which the header states; an instruction does not weigh a C call's
+work, so moving work into C reads as fewer instructions.
+
 The standard library only.  It asserts no timing: the exit code is 1 only if
 a tree cannot be loaded, a primitive raises, or, with ``--cli``, the two
 trees' exit codes or stdout differ.
@@ -39,6 +49,7 @@ trees' exit codes or stdout differ.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import math
 import os
@@ -131,6 +142,77 @@ PRIMITIVES = (
 )
 
 
+def count_ops(fn) -> tuple[int, int]:
+    """(bytecode instructions, C calls) that one call ``fn()`` runs, outside this frame.
+
+    Instructions are ``sys.settrace``'s opcode events, or, where the interpreter has
+    ``sys.monitoring`` (3.12 on), its INSTRUCTION events: there ``sys.settrace`` sends
+    no opcode events to a frame that sets ``f_trace_opcodes`` when it starts.
+    """
+    counts = [0, 0]
+    outer = sys._getframe()
+    monitoring = getattr(sys, "monitoring", None)
+
+    def instruction(code, offset):
+        if code is not outer.f_code:
+            counts[0] += 1
+
+    def opcodes(frame, event, arg):
+        if event == "opcode":
+            counts[0] += 1
+        return opcodes
+
+    def new_frame(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return opcodes
+
+    def c_calls(frame, event, arg):
+        if event == "c_call" and frame is not outer:
+            counts[1] += 1
+
+    saved, collecting = (sys.gettrace(), sys.getprofile()), gc.isenabled()
+    gc.disable()
+    if monitoring:
+        tool = next(i for i in range(6) if monitoring.get_tool(i) is None)
+        monitoring.use_tool_id(tool, "abtime")
+        monitoring.register_callback(tool, monitoring.events.INSTRUCTION, instruction)
+    sys.setprofile(c_calls)
+    if monitoring:
+        monitoring.set_events(tool, monitoring.events.INSTRUCTION)
+    else:
+        sys.settrace(new_frame)
+    try:
+        fn()
+    finally:
+        if monitoring:
+            monitoring.set_events(tool, 0)
+            monitoring.register_callback(tool, monitoring.events.INSTRUCTION, None)
+            monitoring.free_tool_id(tool)
+        else:
+            sys.settrace(saved[0])
+        sys.setprofile(saved[1])
+        if collecting:
+            gc.enable()
+    return counts[0], counts[1]
+
+
+def row_ops(n, stmt: str, build) -> tuple[int, int]:
+    """count_ops of the timed statement ``stmt`` on package ``n``, after two warm-up calls."""
+    ns = namespace(n, build)
+    exec(f"def _row():\n    {stmt}\n", ns)
+    ns["_row"]()
+    ns["_row"]()
+    return count_ops(ns["_row"])
+
+
+def print_ops(trees) -> None:
+    print(f"{'primitive':40} {'parent ins':>10} {'change ins':>10} {'ratio':>7} "
+          f"{'parent C':>8} {'change C':>8}")
+    for label, stmt, (_, build) in PRIMITIVES:
+        (ins0, c0), (ins1, c1) = (row_ops(n, stmt, build) for n in trees)
+        print(f"{label:40} {ins0:10d} {ins1:10d} {ins1 / ins0:7.3f} {c0:8d} {c1:8d}", flush=True)
+
+
 def cli_invocations(directory: str) -> tuple[list, object]:
     """The benchmark's fixed invocations and seeded analyze runs, and its ``run_cli``."""
     sys.path.insert(0, os.path.join(ROOT, "bench"))
@@ -200,14 +282,23 @@ def main(argv=None) -> int:
     ap.add_argument("--quick", action="store_true",
                     help="2 repeats of about 2 ms per side (1 round with --cli): "
                          "a smoke run, not a measurement")
-    ap.add_argument("--cli", action="store_true",
-                    help="time python -m negamm.cli spawns of the benchmark's invocations")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--cli", action="store_true",
+                      help="time python -m negamm.cli spawns of the benchmark's invocations")
+    mode.add_argument("--ops", action="store_true",
+                      help="count each primitive's bytecode instructions and C calls; "
+                           "time nothing")
     args = ap.parse_args(argv)
+    print(f"# parent {os.path.abspath(args.against)}, change {ROOT}")
+    if args.ops:
+        print(f"# Python {sys.version.split()[0]}, bytecode instructions and C calls "
+              f"of one call per primitive, after two warm-up calls")
+        print_ops((load(args.against), load(ROOT)))
+        return 0
     if args.cli:
         k = 1 if args.quick else max(args.k or 5, 1)
     else:
         k, budget = (2, 0.002) if args.quick else (max(args.k or 25, 1), 0.005)
-    print(f"# parent {os.path.abspath(args.against)}, change {ROOT}")
     print(f"# Python {sys.version.split()[0]}, min of {k} alternating "
           f"{'rounds' if args.cli else 'repeats'} per side")
     if args.cli:

@@ -65,6 +65,17 @@ KNOWN = {
         "work-only: at f = 0.0 the left fence is -inf, so more halvings are replayed",
     ("curves.py", "elif band_right and x >= cr:", "x >= cr", ">= -> >"):
         "work-only: at x = cr the right band fence is placed later or not at all",
+    ("curves.py", "return y, res, math.inf if x < k else -math.inf", "x < k", "< -> <="):
+        "equivalent: the root is 0 only at the arc's ends or where x(2k - x) underflows, "
+        "never at x = k",
+    ("curves.py", "lower, price = float(b), math.inf if x < a else -math.inf", "x < a",
+     "< -> <="):
+        "equivalent: x = a takes the fold's branch before",
+    ("curves.py", "sgn = 1.0 if x < a else -1.0", "x < a", "< -> <="):
+        "equivalent: x = a takes the fold's branch before",
+    ("curves.py", "num = u_a * b * math.exp((u_a - 1.0) * lgx) * sgn",
+     "u_a * b * math.exp((u_a - 1.0) * lgx) * sgn", "* -> /"):
+        "equivalent: times and over sgn, +1.0 or -1.0, give the same float",
 }
 
 FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
